@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ds/concepts.h"
@@ -39,7 +40,6 @@
 #include "ds/treiber_stack.h"
 #include "harness/bench_config.h"
 #include "harness/report.h"
-#include "harness/serve.h"
 #include "harness/workload.h"
 #include "recordmgr/record_manager.h"
 #include "reclaim/era/reclaimer_he.h"
@@ -115,8 +115,8 @@ inline const op_mix MIX_25_25_50 = {"25i-25d-50s", 25, 25};
 // time, not by catching a failure at run time). `is_pushpop` names the
 // container concept (ds/concepts.h) the adapter's structure satisfies --
 // stack_queue_like when true, ordered_set_like when false, checked by
-// static_assert below -- which selects the harness shape (run_trial vs
-// run_pushpop_trial) at compile time.
+// static_assert below -- which selects the harness shape (set_shape vs
+// pushpop_shape) at compile time.
 
 struct ds_ellen_bst {
     static constexpr const char* name = "ellen_bst";
@@ -241,28 +241,24 @@ enum class point_status {
 
 /// One timed trial of `cfg` on a freshly constructed manager + structure.
 /// The adapter's concept picks the harness shape: ordered sets run the
-/// paper's mix (plus range queries), stacks/queues run push/pop. With
-/// cfg.serve.enabled, set-shaped adapters run the sustained-service loop
-/// instead (run_serve_trial: open-loop pacing + snapshot streaming + the
-/// leak monitor); push/pop adapters are gated off in run_with_policy.
+/// paper's mix (plus range queries), stacks/queues run push/pop.
+/// cfg.serve switches on the sustained-service parts of the same loop
+/// (pacing, churn, snapshot streaming, the leak monitor), whose timeline
+/// header names the (ds, scheme) cell; push/pop adapters are gated off
+/// serve mode in run_with_policy.
 template <class Adapter, class Scheme, class Alloc, class Pool>
 harness::trial_result run_one_trial(const harness::workload_config& cfg) {
     using mgr_t = typename Adapter::template mgr_t<Scheme, Alloc, Pool>;
+    using shape = std::conditional_t<Adapter::is_pushpop,
+                                     harness::workload_detail::pushpop_shape,
+                                     harness::workload_detail::set_shape>;
     mgr_t mgr(cfg.num_threads);
     auto structure = Adapter::construct(mgr, cfg.key_range);
-    if constexpr (Adapter::is_pushpop) {
-        return harness::run_pushpop_trial(structure, mgr, cfg);
-    } else {
-        if (cfg.serve.enabled) {
-            harness::json meta = harness::json::object();
-            meta.set("ds", std::string(Adapter::name));
-            meta.set("scheme", std::string(Scheme::name));
-            return harness::run_serve_trial_set(
-                structure, mgr, cfg, harness::SMR_BENCH_SCHEMA_VERSION,
-                meta);
-        }
-        return harness::run_trial(structure, mgr, cfg);
-    }
+    harness::json meta = harness::json::object();
+    meta.set("ds", std::string(Adapter::name));
+    meta.set("scheme", std::string(Scheme::name));
+    return harness::workload_detail::run_timed_trial<shape>(
+        structure, mgr, cfg, harness::SMR_BENCH_SCHEMA_VERSION, meta);
 }
 
 template <class Adapter, class Scheme>

@@ -9,8 +9,8 @@
 // time; the scenario only decides what happens when you don't ask.
 //
 // Scenarios whose shape is not "sweep a timed mix" (the trait table, the
-// threshold ablations, the guard A/B) provide a custom run function
-// instead; they share the CLI, the banner, and the JSON envelope.
+// threshold ablations, the overhead A/Bs, the soak) provide a custom run
+// function instead; they share the CLI, the banner, and the JSON envelope.
 #pragma once
 
 #include <string>
@@ -83,7 +83,16 @@ const std::vector<scenario>& all_scenarios();
 
 const scenario* find_scenario(const std::string& name);
 
-// Custom run functions (special_scenarios.cpp / scenario_guard_overhead.cpp).
+/// Shared tail of the custom scenarios (special_scenarios.cpp): completes
+/// `config` with the run parameters (trial_ms, trials, threads, seed) and
+/// wraps the scenario-specific `points` into the run envelope. Returns the
+/// exit code: 0 when `ok`, else 1.
+int finish(const scenario& sc, const harness::bench_config& cfg,
+           harness::json config, harness::json points, bool invariant_ok,
+           bool ok, harness::json* doc);
+
+// Custom run functions (special_scenarios.cpp, scenario_overhead_gates.cpp,
+// scenario_serve.cpp).
 int run_table2_traits(const scenario&, const harness::bench_config&,
                       harness::json* doc);
 int run_ablation_blockpool(const scenario&, const harness::bench_config&,

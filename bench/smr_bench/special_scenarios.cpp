@@ -10,12 +10,9 @@
 
 namespace smr::bench {
 
-namespace {
-
-/// Shared tail: wrap scenario-specific points into the run envelope.
 int finish(const scenario& sc, const harness::bench_config& cfg,
-           harness::json config, harness::json points, bool ok,
-           harness::json* doc) {
+           harness::json config, harness::json points, bool invariant_ok,
+           bool ok, harness::json* doc) {
     harness::json th = harness::json::array();
     for (int t : cfg.thread_counts) th.push_back(t);
     config.set("trial_ms", cfg.trial_ms);
@@ -24,9 +21,11 @@ int finish(const scenario& sc, const harness::bench_config& cfg,
     config.set("seed", static_cast<long long>(cfg.seed));
     *doc = harness::make_run_document(sc.kind(), sc.name, sc.summary,
                                       sc.paper_ref, std::move(config),
-                                      std::move(points), ok, ok);
+                                      std::move(points), invariant_ok, ok);
     return ok ? 0 : 1;
 }
+
+namespace {
 
 // ---- table2_traits ---------------------------------------------------------
 
@@ -124,7 +123,7 @@ int run_table2_traits(const scenario& sc, const harness::bench_config& cfg,
                 reclaim::reclaim_debra::quiescence_based ? "true" : "false");
 
     return finish(sc, cfg, harness::json::object(), std::move(points), true,
-                  doc);
+                  true, doc);
 }
 
 // ---- ablation_blockpool ----------------------------------------------------
@@ -187,7 +186,7 @@ int run_ablation_blockpool(const scenario& sc,
     p.set("invariant_ok", ok);
     points.push_back(std::move(p));
     return finish(sc, cfg, harness::json::object(), std::move(points), ok,
-                  doc);
+                  ok, doc);
 }
 
 // ---- ablation_thresholds ---------------------------------------------------
@@ -318,7 +317,7 @@ int run_ablation_thresholds(const scenario& sc,
     }
 
     return finish(sc, cfg, harness::json::object(), std::move(points), ok,
-                  doc);
+                  ok, doc);
 }
 
 }  // namespace smr::bench

@@ -199,7 +199,7 @@ inline json point_to_json(const point_meta& m, const trial_result& r) {
     p.set("latency", latency_to_json(r.latency));
 
     // Sustained-service stanza (v4, additive): present only for points
-    // produced by run_serve_trial.
+    // produced by a serve-mode trial.
     if (r.serve.ran) {
         json sv = json::object();
         sv.set("snapshots", r.serve.snapshots);

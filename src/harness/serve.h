@@ -1,354 +1,28 @@
-// serve.h -- the sustained-service ("soak") trial loop (DESIGN.md
-// Section 12.5).
-//
-// The closed-loop harness in workload.h answers "how fast can this scheme
-// go"; a soak answers "does it stay healthy at a fixed offered load for a
-// long time". run_serve_trial keeps the prefill / worker / size-invariant
-// skeleton of run_timed_trial and changes three things:
-//
-//   pacing   every worker runs an open-loop token bucket: its share of
-//            serve_config::ops_per_sec accrues with wall-clock time, ops
-//            are issued in bursts of at most SERVE_BATCH to catch up, and
-//            the worker sleeps briefly when ahead. Queueing delay from a
-//            scheme stall therefore shows up as a rate deficit instead of
-//            being hidden by the closed loop's natural backoff.
-//   churn    every churn_period_ms the control thread bumps a generation
-//            counter; the last churn_threads workers notice, deregister
-//            (fresh thread_handle scope) and re-register, exercising the
-//            init/deinit path -- including DEBRA+'s signal drain -- in the
-//            middle of live service.
-//   watch    a snapshot_streamer samples the counter matrix + event rings
-//            every snapshot_ms into a JSONL timeline, and its invariant
-//            monitor turns sustained limbo/footprint growth into a leak
-//            verdict (serve_result::monitor_violations). The WILL_FAIL
-//            canary (serve_config::canary_leak_every) proves the verdict
-//            machinery actually fires: worker 0 deliberately abandons
-//            retired records and the monitor must trip.
+// serve.h -- the sustained-service ("soak") entry point (DESIGN.md
+// Section 12.5). Serve mode is part of the one trial loop,
+// workload_detail::run_timed_trial (workload.h), switched on by
+// workload_config::serve; this entry only stamps the timeline header.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "../obs/event_ring.h"
-#include "../obs/snapshot.h"
-#include "../topo/pin.h"
-#include "../util/barrier.h"
-#include "../util/debug_stats.h"
-#include "../util/padded.h"
-#include "../util/prng.h"
-#include "../util/timing.h"
 #include "json.h"
-#include "key_dist.h"
-#include "latency.h"
-#include "schedule.h"
 #include "workload.h"
 
 namespace smr::harness {
 
-namespace serve_detail {
-
-/// Max ops issued per token-bucket wakeup: big enough to amortize the
-/// clock read, small enough that a stop/churn signal is honored promptly.
-inline constexpr long long SERVE_BATCH = 64;
-
-/// RAII arm/disarm of the global event trace around one trial. Disable
-/// runs after every worker joined (no producer is mid-emit).
-struct trace_session {
-    trace_session(int max_tids, std::size_t ring_capacity) {
-        obs::g_event_trace.enable(max_tids, ring_capacity);
-    }
-    ~trace_session() { obs::g_event_trace.disable(); }
-    trace_session(const trace_session&) = delete;
-    trace_session& operator=(const trace_session&) = delete;
-};
-
-}  // namespace serve_detail
-
-/// One sustained-service trial. `Shape` is the operation arm from
-/// workload_detail (set_shape / pushpop_shape); `meta` is merged into the
+/// One set-shaped sustained-service trial. `meta` is merged into the
 /// timeline header line (ds / scheme / policy / threads); `schema_version`
 /// stamps the header (report.h's SMR_BENCH_SCHEMA_VERSION -- passed in so
 /// this header does not depend on report.h). Returns the usual
-/// trial_result with the `serve` stanza populated.
-template <class Shape, class DS, class Mgr>
-trial_result run_serve_trial(DS& ds, Mgr& mgr, const workload_config& cfg,
-                             int schema_version,
-                             const json& meta = json::object()) {
-    using workload_detail::per_thread;
-    const serve_config& sv = cfg.serve;
-
-    trial_result res;
-    res.serve.ran = true;
-    res.serve.target_ops_per_sec = static_cast<double>(sv.ops_per_sec);
-    mgr.stats().clear();
-    assert(schedule_valid(cfg.phases) &&
-           "run_serve_trial: invalid phase schedule");
-
-    serve_detail::trace_session trace(
-        cfg.num_threads,
-        sv.ring_capacity > 0
-            ? static_cast<std::size_t>(sv.ring_capacity)
-            : std::size_t{4096});
-
-    key_dist_shared dist(cfg.dist, cfg.key_range);
-    const std::size_t num_phases =
-        cfg.phases.empty() ? 1 : cfg.phases.size();
-    std::atomic<int> phase_idx{0};
-    std::atomic<std::uint64_t> churn_gen{0};
-
-    if (cfg.prefill) {
-        auto h0 = mgr.register_thread(0);
-        res.prefill_size = Shape::prefill(ds, mgr.access(h0), cfg);
-    } else {
-        res.prefill_size = ds.size_slow();
-    }
-
-    std::atomic<bool> start{false};
-    std::atomic<bool> stop{false};
-    spin_barrier ready(static_cast<std::uint32_t>(cfg.num_threads) + 1);
-    spin_barrier done(static_cast<std::uint32_t>(cfg.num_threads) + 1);
-
-    std::vector<per_thread> stats(static_cast<std::size_t>(cfg.num_threads));
-    for (auto& s : stats) s.phase_ops.assign(num_phases, 0);
-
-    std::vector<padded<op_latency_recorder>> recorders(
-        static_cast<std::size_t>(cfg.num_threads));
-    for (auto& r : recorders) r->set_sample_every(cfg.lat_sample);
-
-    // Written only by worker 0, read by the control thread after join.
-    long long canary_leaks = 0;
-
-    const double per_thread_rate =
-        sv.ops_per_sec > 0
-            ? static_cast<double>(sv.ops_per_sec) / cfg.num_threads
-            : 0.0;
-    const int first_churner =
-        sv.churn_period_ms > 0 && sv.churn_threads > 0
-            ? cfg.num_threads - sv.churn_threads
-            : cfg.num_threads;
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(cfg.num_threads));
-    for (int t = 0; t < cfg.num_threads; ++t) {
-        threads.emplace_back([&, t] {
-            prng rng(cfg.seed * 1000003ULL + static_cast<std::uint64_t>(t));
-            per_thread& mine = stats[static_cast<std::size_t>(t)];
-            op_latency_recorder& rec =
-                *recorders[static_cast<std::size_t>(t)];
-            const bool churner = t >= first_churner;
-            stopwatch pace;
-            long long issued = 0;
-            bool first = true;
-            // Outer loop: one iteration per registration scope. Churners
-            // fall out of the inner loop on a generation change, the
-            // handle deregisters (DEBRA+ drains its signals in deinit),
-            // and they immediately re-register.
-            while (!stop.load(std::memory_order_acquire)) {
-                auto handle = mgr.register_thread(t, cfg.pin);
-                auto acc = mgr.access(handle);
-                if (first) {
-                    first = false;
-                    ready.arrive_and_wait();
-                    while (!start.load(std::memory_order_acquire)) {
-                        std::this_thread::yield();
-                    }
-                    pace.reset();  // token bucket accrues from trial start
-                }
-                const std::uint64_t my_gen =
-                    churn_gen.load(std::memory_order_acquire);
-
-                const auto one_op = [&] {
-                    int ins_pct = cfg.insert_pct;
-                    int del_pct = cfg.delete_pct;
-                    const int pi = phase_idx.load(std::memory_order_relaxed);
-                    if (!cfg.phases.empty()) {
-                        const phase_spec& ph =
-                            cfg.phases[static_cast<std::size_t>(pi)];
-                        ins_pct = ph.insert_pct;
-                        del_pct = ph.delete_pct;
-                    }
-                    Shape::do_op(ds, acc, cfg, dist, rng, ins_pct, del_pct,
-                                 mine, rec.arm() ? &rec : nullptr);
-                    ++mine.ops;
-                    ++mine.phase_ops[static_cast<std::size_t>(pi)];
-                    ++issued;
-                    if (t == 0 && sv.canary_leak_every > 0 &&
-                        issued % sv.canary_leak_every == 0) {
-                        // Deliberate leak: retire accounting without a
-                        // matching pool hand-back. The monitor must trip.
-                        mgr.leak_retired_record(0);
-                        ++canary_leaks;
-                    }
-                };
-
-                while (!stop.load(std::memory_order_acquire)) {
-                    if (churner &&
-                        churn_gen.load(std::memory_order_relaxed) != my_gen) {
-                        break;  // deregister and come back
-                    }
-                    if (per_thread_rate > 0) {
-                        const long long target = static_cast<long long>(
-                            pace.elapsed_seconds() * per_thread_rate);
-                        long long budget = target - issued;
-                        if (budget <= 0) {
-                            // Ahead of the arrival curve: open-loop idle.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(100));
-                            continue;
-                        }
-                        if (budget > serve_detail::SERVE_BATCH) {
-                            budget = serve_detail::SERVE_BATCH;
-                        }
-                        while (budget-- > 0) one_op();
-                    } else {
-                        one_op();  // unpaced: closed loop with telemetry
-                    }
-                }
-            }
-            done.arrive_and_wait();
-        });
-    }
-
-    // Streamer: snapshots + event drains + the leak monitor, on its own
-    // sampler thread. Augment every snapshot with serve-side gauges the
-    // sampler can read race-free (atomics only).
-    obs::snapshot_config scfg;
-    scfg.snapshot_ms = sv.snapshot_ms > 0 ? sv.snapshot_ms : 100;
-    scfg.path = sv.timeline_path;
-    scfg.monitor.window = sv.monitor_window;
-    scfg.monitor.min_growth = sv.monitor_min_growth;
-    scfg.monitor.consecutive = sv.monitor_consecutive;
-    scfg.monitor.warmup = sv.monitor_warmup;
-    obs::snapshot_streamer streamer(scfg, &mgr.stats());
-    streamer.set_augment([&churn_gen, &sv](json* snap) {
-        snap->set("churn_waves",
-                  static_cast<long long>(
-                      churn_gen.load(std::memory_order_relaxed)));
-        snap->set("target_ops_per_sec", sv.ops_per_sec);
-    });
-
-    json header_meta = json::object();
-    if (meta.is_object()) {
-        for (const auto& [k, v] : meta.members()) header_meta.set(k, v);
-    }
-    header_meta.set("mode", std::string("serve"));
-    header_meta.set("target_ops_per_sec", sv.ops_per_sec);
-    header_meta.set("churn_period_ms", sv.churn_period_ms);
-    header_meta.set("churn_threads", sv.churn_threads);
-    header_meta.set("canary_leak_every", sv.canary_leak_every);
-    header_meta.set("threads", cfg.num_threads);
-
-    ready.arrive_and_wait();
-    streamer.start(schema_version, header_meta);
-    stopwatch timer;
-    start.store(true, std::memory_order_release);
-
-    // Control loop: 1ms ticks publish the schedule phase, slide the
-    // hotspot window, and fire churn waves. The streamer samples on its
-    // own clock.
-    long long next_churn_ms = sv.churn_period_ms;
-    for (;;) {
-        const long long elapsed_ms =
-            static_cast<long long>(timer.elapsed_seconds() * 1000.0);
-        if (elapsed_ms >= cfg.trial_ms) break;
-        if (!cfg.phases.empty()) {
-            phase_idx.store(phase_at(cfg.phases, elapsed_ms),
-                            std::memory_order_relaxed);
-        }
-        dist.on_tick(elapsed_ms);
-        if (first_churner < cfg.num_threads && elapsed_ms >= next_churn_ms) {
-            churn_gen.fetch_add(1, std::memory_order_acq_rel);
-            next_churn_ms += sv.churn_period_ms;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    stop.store(true, std::memory_order_release);
-    done.arrive_and_wait();
-    res.seconds = timer.elapsed_seconds();
-    for (auto& th : threads) th.join();
-    // Final drain after workers quiesced, then read the verdict.
-    streamer.stop();
-
-    long long net = 0;
-    res.phase_ops.assign(num_phases, 0);
-    for (const auto& s : stats) {
-        for (std::size_t p = 0; p < num_phases; ++p) {
-            res.phase_ops[p] += s.phase_ops[p];
-        }
-        res.total_ops += s.ops;
-        res.finds += s.finds;
-        res.inserts_attempted += s.ins_att;
-        res.inserts_succeeded += s.ins_ok;
-        res.deletes_attempted += s.del_att;
-        res.deletes_succeeded += s.del_ok;
-        res.range_queries += s.rqs;
-        res.range_keys += s.rq_keys;
-        net += s.net_keys;
-    }
-    res.expected_final_size = res.prefill_size + net;
-    res.final_size = ds.size_slow();
-
-    const debug_stats& d = mgr.stats();
-    res.records_retired = d.total(stat::records_retired);
-    res.records_pooled = d.total(stat::records_pooled);
-    res.records_allocated = d.total(stat::records_allocated);
-    res.records_reused = d.total(stat::records_reused);
-    res.epochs_advanced = d.total(stat::epochs_advanced);
-    res.neutralize_sent = d.total(stat::neutralize_signals_sent);
-    res.neutralize_received = d.total(stat::neutralize_signals_received);
-    res.hp_scans = d.total(stat::hp_scans);
-    res.era_scans = d.total(stat::era_scans);
-    res.op_restarts = d.total(stat::op_restarts);
-    res.pool_shared_steals = d.total(stat::pool_shared_steals);
-    res.pool_remote_steals = d.total(stat::pool_remote_steals);
-    res.pool_remote_returns = d.total(stat::pool_remote_returns);
-    res.arena_remote_frees = d.total(stat::arena_remote_frees);
-    res.limbo_records = mgr.total_limbo_all_types();
-    res.allocated_bytes = mgr.total_allocated_bytes();
-
-    res.latency.sample_every = cfg.lat_sample;
-    res.latency.clock = lat_clock::source_name();
-    for (int k = 0; k < N_OP_KINDS; ++k) {
-        for (int t = 0; t < cfg.num_threads; ++t) {
-            res.latency.ops[static_cast<std::size_t>(k)].add(
-                recorders[static_cast<std::size_t>(t)]->hist(
-                    static_cast<op_kind>(k)));
-        }
-        res.latency.total.add(res.latency.ops[static_cast<std::size_t>(k)]);
-    }
-    for (int s = 0; s < static_cast<int>(stall_site::COUNT); ++s) {
-        res.latency.stalls[static_cast<std::size_t>(s)] =
-            d.stall_summary(static_cast<stall_site>(s));
-    }
-
-    res.serve.snapshots = streamer.snapshots();
-    res.serve.monitor_violations = streamer.violations();
-    res.serve.first_violation_snapshot = streamer.first_violation_sample();
-    res.serve.achieved_ops_per_sec =
-        res.seconds > 0 ? res.total_ops / res.seconds : 0.0;
-    res.serve.churn_cycles = static_cast<long long>(
-        churn_gen.load(std::memory_order_relaxed));
-    res.serve.canary_leaks = canary_leaks;
-    res.serve.events_drained = streamer.events_drained();
-    res.serve.events_dropped = streamer.events_dropped();
-    return res;
-}
-
-/// Set-shape convenience wrapper (the serve driver's default; the canary
-/// leaks records *outside* the structure, so the size invariant still
-/// holds -- only the reclamation counters drift, which is what the monitor
-/// watches).
+/// trial_result with the `serve` stanza populated. The canary leaks
+/// records *outside* the structure, so the size invariant still holds --
+/// only the reclamation counters drift, which is what the monitor watches.
 template <class DS, class Mgr>
-trial_result run_serve_trial_set(DS& ds, Mgr& mgr,
-                                 const workload_config& cfg,
+trial_result run_serve_trial_set(DS& ds, Mgr& mgr, workload_config cfg,
                                  int schema_version,
                                  const json& meta = json::object()) {
-    return run_serve_trial<workload_detail::set_shape>(ds, mgr, cfg,
-                                                       schema_version, meta);
+    cfg.serve.enabled = true;
+    return workload_detail::run_timed_trial<workload_detail::set_shape>(
+        ds, mgr, cfg, schema_version, meta);
 }
 
 }  // namespace smr::harness

@@ -27,17 +27,37 @@
 // every phase transition and at the end of the trial, so limbo waves in
 // scenarios like zipf_churn are visible directly instead of only as
 // trial-end totals.
+//
+// Serve mode (cfg.serve.enabled; DESIGN.md Section 12.5) turns the same
+// loop into a sustained-service soak: "does it stay healthy at a fixed
+// offered load", not "how fast". Each part has its own switch:
+//
+//   watch    serve mode itself: event rings plus a snapshot_streamer whose
+//            JSONL timeline (none if timeline_path is empty) and invariant
+//            monitor turn sustained limbo/footprint growth into a verdict;
+//   pacing   ops_per_sec > 0: a per-worker open-loop token bucket, so a
+//            scheme stall shows up as a rate deficit instead of being
+//            hidden by the closed loop's natural backoff;
+//   churn    churn_period_ms > 0 && churn_threads > 0: waves in which the
+//            last churn_threads workers deregister and re-register;
+//   canary   canary_leak_every > 0: worker 0 deliberately leaks retired
+//            records, and the monitor must trip.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "../obs/event_ring.h"
+#include "../obs/snapshot.h"
 #include "../topo/pin.h"
 #include "../util/barrier.h"
 #include "../util/debug_stats.h"
@@ -45,6 +65,7 @@
 #include "../util/prng.h"
 #include "../util/timing.h"
 #include "bench_config.h"
+#include "json.h"
 #include "key_dist.h"
 #include "latency.h"
 #include "schedule.h"
@@ -55,7 +76,8 @@ namespace smr::harness {
 /// structure, every worker paces itself against an open-loop arrival rate
 /// (token bucket), while a sampler thread streams snapshot + event timelines
 /// and an invariant monitor watches limbo / footprint for monotone growth
-/// (the leak sentinel). See src/harness/serve.h for the trial loop.
+/// (the leak sentinel). Every field but `enabled` is ignored unless
+/// `enabled` is set; see the header comment for which value switches what.
 struct serve_config {
     bool enabled = false;
     /// Total offered load across all workers, ops/sec. Split evenly per
@@ -132,8 +154,7 @@ struct workload_config {
     /// into the per-op-kind histograms (--lat-sample). 0 disables
     /// recording; 1 times every operation.
     int lat_sample = 32;
-    /// Sustained-service mode (run_serve_trial); ignored by the closed-loop
-    /// trial runners.
+    /// Sustained-service mode: switches on the serve parts of the trial loop.
     serve_config serve;
 };
 
@@ -378,11 +399,23 @@ struct pushpop_shape {
     }
 };
 
-/// The timed-trial skeleton shared by both shapes: prefill, spawn workers
-/// under RAII thread handles, run the control loop (phase publication,
-/// hotspot sliding, per-phase counter snapshots), harvest.
+/// Max ops a paced worker issues per token-bucket wakeup: big enough to
+/// amortize the clock read, small enough that a stop/churn signal is
+/// honored promptly.
+inline constexpr long long SERVE_BATCH = 64;
+
+/// The one trial loop, shared by both shapes and by serve mode: prefill,
+/// spawn workers under RAII thread handles, run the control loop (phase
+/// publication, hotspot sliding, churn waves, per-phase counter
+/// snapshots), harvest. `schema_version` and `meta` stamp a serve-mode
+/// timeline's header line (report.h's SMR_BENCH_SCHEMA_VERSION -- passed
+/// in so this header does not depend on report.h -- and the ds / scheme
+/// identity); closed-loop trials ignore both.
 template <class Shape, class DS, class Mgr>
-trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
+trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg,
+                             int schema_version = 0,
+                             const json& meta = json::object()) {
+    const serve_config& sv = cfg.serve;
     trial_result res;
     mgr.stats().clear();
     assert(schedule_valid(cfg.phases) && "run_trial: invalid phase schedule");
@@ -395,6 +428,57 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
         (void)ph;
         assert(ph.insert_pct + ph.delete_pct + cfg.rq_pct <= 100 &&
                "run_trial: a phase's mix leaves no room for rq_pct");
+    }
+
+    // Serve-mode switches; all off in a closed-loop trial.
+    const double per_thread_rate =
+        sv.enabled && sv.ops_per_sec > 0
+            ? static_cast<double>(sv.ops_per_sec) / cfg.num_threads
+            : 0.0;
+    const bool churn =
+        sv.enabled && sv.churn_period_ms > 0 && sv.churn_threads > 0;
+    const long long leak_every = sv.enabled ? sv.canary_leak_every : 0;
+    std::atomic<std::uint64_t> churn_gen{0};
+    // Written only by worker 0, read by the control thread after join.
+    long long canary_leaks = 0;
+
+    // Serve mode's watch. The event trace is armed before the prefill, so
+    // the rings see every reclamation event of the trial; the streamer
+    // (snapshots + event drains + the leak monitor, on its own sampler
+    // thread) starts with the workers. Every snapshot is augmented with
+    // serve-side gauges the sampler can read race-free (atomics only).
+    std::optional<obs::snapshot_streamer> streamer;
+    json header = json::object();
+    if (sv.enabled) {
+        obs::g_event_trace.enable(
+            cfg.num_threads, sv.ring_capacity > 0
+                                 ? static_cast<std::size_t>(sv.ring_capacity)
+                                 : std::size_t{4096});
+        res.serve.ran = true;
+        res.serve.target_ops_per_sec = static_cast<double>(sv.ops_per_sec);
+        obs::snapshot_config scfg;
+        scfg.snapshot_ms = sv.snapshot_ms > 0 ? sv.snapshot_ms : 100;
+        scfg.path = sv.timeline_path;
+        scfg.monitor.window = sv.monitor_window;
+        scfg.monitor.min_growth = sv.monitor_min_growth;
+        scfg.monitor.consecutive = sv.monitor_consecutive;
+        scfg.monitor.warmup = sv.monitor_warmup;
+        streamer.emplace(scfg, &mgr.stats());
+        streamer->set_augment([&churn_gen, &sv](json* snap) {
+            snap->set("churn_waves",
+                      static_cast<long long>(
+                          churn_gen.load(std::memory_order_relaxed)));
+            snap->set("target_ops_per_sec", sv.ops_per_sec);
+        });
+        if (meta.is_object()) {
+            for (const auto& [k, v] : meta.members()) header.set(k, v);
+        }
+        header.set("mode", std::string("serve"));
+        header.set("target_ops_per_sec", sv.ops_per_sec);
+        header.set("churn_period_ms", sv.churn_period_ms);
+        header.set("churn_threads", sv.churn_threads);
+        header.set("canary_leak_every", sv.canary_leak_every);
+        header.set("threads", cfg.num_threads);
     }
 
     // Scenario-engine state: the shared key distribution and the current
@@ -431,36 +515,35 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
     std::vector<padded<op_latency_recorder>> recorders(
         static_cast<std::size_t>(cfg.num_threads));
     for (auto& r : recorders) r->set_sample_every(cfg.lat_sample);
-    // Cumulative merge across threads and op kinds; phase harvests diff
-    // successive snapshots of this.
-    auto merge_latency = [&recorders, &cfg] {
-        lat_summary out;
-        for (int t = 0; t < cfg.num_threads; ++t) {
-            for (int k = 0; k < N_OP_KINDS; ++k) {
-                out.add(recorders[static_cast<std::size_t>(t)]->hist(
-                    static_cast<op_kind>(k)));
-            }
-        }
-        return out;
-    };
-    lat_summary prev_lat;
 
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(cfg.num_threads));
-    for (int t = 0; t < cfg.num_threads; ++t) {
-        threads.emplace_back([&, t] {
-            // Registration applies the placement policy (compact/scatter
-            // pinning) before the worker touches any memory, so
-            // first-touch pages and arena homes land on the pinned socket.
+    // The worker body is compiled twice, once per `serving` tag
+    // (std::true_type / std::false_type), so the serve-mode checks cost
+    // the closed-loop hot path nothing.
+    const auto worker = [&](int t, auto serving) {
+        prng rng(cfg.seed * 1000003ULL + static_cast<std::uint64_t>(t));
+        per_thread& mine = stats[static_cast<std::size_t>(t)];
+        op_latency_recorder& rec = *recorders[static_cast<std::size_t>(t)];
+        const bool churner = churn && t >= cfg.num_threads - sv.churn_threads;
+        stopwatch pace;
+        bool first = true;
+        bool stopped = false;
+        // One iteration per registration scope; only churners take a second
+        // one. Registration applies the placement policy (compact/scatter
+        // pinning) before the worker touches any memory, so first-touch
+        // pages and arena homes land on the pinned socket. A churner falls
+        // out of the op loop on a generation change, its handle deregisters
+        // (DEBRA+ drains its in-flight neutralization signals inside deinit,
+        // so no further barrier is needed), and it re-registers at once.
+        while (!stopped) {
             auto handle = mgr.register_thread(t, cfg.pin);
             auto acc = mgr.access(handle);
-            prng rng(cfg.seed * 1000003ULL + static_cast<std::uint64_t>(t));
-            per_thread& mine = stats[static_cast<std::size_t>(t)];
-            op_latency_recorder& rec =
-                *recorders[static_cast<std::size_t>(t)];
-            ready.arrive_and_wait();
-            while (!start.load(std::memory_order_acquire)) {
-                std::this_thread::yield();
+            if (first) {
+                first = false;
+                ready.arrive_and_wait();
+                while (!start.load(std::memory_order_acquire)) {
+                    std::this_thread::yield();
+                }
+                pace.reset();  // token bucket accrues from trial start
             }
             if (t == cfg.stall_tid) {
                 // Epoch-blocking straggler (see workload_config::stall_tid).
@@ -474,13 +557,37 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
                         [] { return true; });
                     ++mine.ops;
                 }
-            } else {
-                while (!stop.load(std::memory_order_acquire)) {
+            }
+            const std::uint64_t my_gen =
+                churn_gen.load(std::memory_order_acquire);
+            while (!stop.load(std::memory_order_acquire)) {
+                // Closed loop: one op per stop check. Paced: catch up on the
+                // arrival curve in bursts of at most SERVE_BATCH, and idle
+                // briefly (open loop) when ahead of it.
+                long long batch = 1;
+                if constexpr (decltype(serving)::value) {
+                    if (churner &&
+                        churn_gen.load(std::memory_order_relaxed) != my_gen) {
+                        break;  // deregister and come back
+                    }
+                    if (per_thread_rate > 0) {
+                        batch = std::min(
+                            SERVE_BATCH,
+                            static_cast<long long>(pace.elapsed_seconds() *
+                                                   per_thread_rate) -
+                                mine.ops);
+                        if (batch <= 0) {
+                            std::this_thread::sleep_for(
+                                std::chrono::microseconds(100));
+                            continue;
+                        }
+                    }
+                }
+                for (long long i = 0; i < batch; ++i) {
                     int ins_pct = cfg.insert_pct;
                     int del_pct = cfg.delete_pct;
                     int pause_us = 0;
-                    const int pi =
-                        phase_idx.load(std::memory_order_relaxed);
+                    const int pi = phase_idx.load(std::memory_order_relaxed);
                     if (!cfg.phases.empty()) {
                         const phase_spec& ph =
                             cfg.phases[static_cast<std::size_t>(pi)];
@@ -492,6 +599,15 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
                                  mine, rec.arm() ? &rec : nullptr);
                     ++mine.ops;
                     ++mine.phase_ops[static_cast<std::size_t>(pi)];
+                    if constexpr (decltype(serving)::value) {
+                        if (t == 0 && leak_every > 0 &&
+                            mine.ops % leak_every == 0) {
+                            // Deliberate leak: retire accounting without a
+                            // matching pool hand-back. The monitor must trip.
+                            mgr.leak_retired_record(0);
+                            ++canary_leaks;
+                        }
+                    }
                     if (pause_us > 0) {
                         // Bursty phase: think time between operations.
                         std::this_thread::sleep_for(
@@ -499,32 +615,53 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
                     }
                 }
             }
-            done.arrive_and_wait();
-            // The handle deregisters on scope exit; DEBRA+ drains in-flight
-            // neutralization signals inside deinit, so no further barrier
-            // is needed before the thread exits.
+            // Still registered: deregistration stays outside the timed
+            // window.
+            stopped = stop.load(std::memory_order_acquire);
+            if (stopped) done.arrive_and_wait();
+        }
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(cfg.num_threads));
+    for (int t = 0; t < cfg.num_threads; ++t) {
+        threads.emplace_back([&worker, &sv, t] {
+            if (sv.enabled) {
+                worker(t, std::true_type{});
+            } else {
+                worker(t, std::false_type{});
+            }
         });
     }
 
     ready.arrive_and_wait();
+    if (streamer) streamer->start(schema_version, header);
     stopwatch timer;
     start.store(true, std::memory_order_release);
     const bool needs_ticks =
-        !cfg.phases.empty() ||
+        !cfg.phases.empty() || churn ||
         (cfg.dist.kind == key_dist_kind::hotspot && cfg.dist.slide_ms > 0);
     if (!needs_ticks) {
         std::this_thread::sleep_for(std::chrono::milliseconds(cfg.trial_ms));
     } else {
-        // Control loop: 1ms clock ticks publish the current phase and
-        // slide the hotspot window; phase transitions snapshot the
-        // reclamation counters (per-phase metric harvest). Workers never
-        // read the clock.
+        // Control loop: 1ms clock ticks publish the current phase, slide
+        // the hotspot window and fire churn waves; phase transitions
+        // snapshot the reclamation counters (per-phase metric harvest).
+        // Workers never read the clock; the streamer samples on its own.
         int last_phase = 0;
-        // Latency view of a closing phase: diff the cumulative merged
-        // summary against the previous boundary's. max_ns is reported
+        long long next_churn_ms = sv.churn_period_ms;
+        lat_summary prev_lat;
+        // Closes the phase occurrence that just ended: a counter snapshot
+        // plus the latency delta of the cumulative merge (all threads and
+        // op kinds) against the previous boundary's. max_ns is reported
         // cumulatively (a max cannot be differenced).
-        auto fill_phase_latency = [&](phase_metric& m) {
-            const lat_summary cur = merge_latency();
+        const auto close_phase = [&](long long at_ms) {
+            phase_metric m = snapshot_counters(mgr.stats(), last_phase, at_ms);
+            lat_summary cur;
+            for (auto& r : recorders) {
+                for (int k = 0; k < N_OP_KINDS; ++k) {
+                    cur.add(r->hist(static_cast<op_kind>(k)));
+                }
+            }
             const lat_summary d = lat_summary::delta(cur, prev_lat);
             m.lat_samples = d.count;
             m.lat_p50_ns = d.percentile(0.50);
@@ -532,6 +669,7 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
             m.lat_p999_ns = d.percentile(0.999);
             m.lat_max_ns = cur.max_ns;
             prev_lat = cur;
+            res.phase_metrics.push_back(m);
         };
         for (;;) {
             const long long elapsed_ms =
@@ -539,27 +677,33 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
             if (elapsed_ms >= cfg.trial_ms) break;
             const int now_phase = phase_at(cfg.phases, elapsed_ms);
             if (!cfg.phases.empty() && now_phase != last_phase) {
-                res.phase_metrics.push_back(workload_detail::snapshot_counters(
-                    mgr.stats(), last_phase, elapsed_ms));
-                fill_phase_latency(res.phase_metrics.back());
+                close_phase(elapsed_ms);
                 last_phase = now_phase;
             }
             phase_idx.store(now_phase, std::memory_order_relaxed);
             dist.on_tick(elapsed_ms);
+            if (churn && elapsed_ms >= next_churn_ms) {
+                churn_gen.fetch_add(1, std::memory_order_acq_rel);
+                next_churn_ms += sv.churn_period_ms;
+            }
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
         if (!cfg.phases.empty()) {
             // Close the last phase occurrence at trial end.
-            res.phase_metrics.push_back(workload_detail::snapshot_counters(
-                mgr.stats(), last_phase,
-                static_cast<long long>(timer.elapsed_seconds() * 1000.0)));
-            fill_phase_latency(res.phase_metrics.back());
+            close_phase(
+                static_cast<long long>(timer.elapsed_seconds() * 1000.0));
         }
     }
     stop.store(true, std::memory_order_release);
     done.arrive_and_wait();
     res.seconds = timer.elapsed_seconds();
     for (auto& th : threads) th.join();
+    if (streamer) {
+        // Final drain after workers quiesced (no producer is mid-emit),
+        // then disarm; the verdict is read below.
+        streamer->stop();
+        obs::g_event_trace.disable();
+    }
 
     long long net = 0;
     res.phase_ops.assign(num_phases, 0);
@@ -603,16 +747,27 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg) {
     res.latency.sample_every = cfg.lat_sample;
     res.latency.clock = lat_clock::source_name();
     for (int k = 0; k < N_OP_KINDS; ++k) {
-        for (int t = 0; t < cfg.num_threads; ++t) {
-            res.latency.ops[static_cast<std::size_t>(k)].add(
-                recorders[static_cast<std::size_t>(t)]->hist(
-                    static_cast<op_kind>(k)));
-        }
-        res.latency.total.add(res.latency.ops[static_cast<std::size_t>(k)]);
+        lat_summary& kind = res.latency.ops[static_cast<std::size_t>(k)];
+        for (auto& r : recorders) kind.add(r->hist(static_cast<op_kind>(k)));
+        res.latency.total.add(kind);
     }
     for (int s = 0; s < static_cast<int>(stall_site::COUNT); ++s) {
         res.latency.stalls[static_cast<std::size_t>(s)] =
             d.stall_summary(static_cast<stall_site>(s));
+    }
+
+    if (streamer) {
+        res.serve.snapshots = streamer->snapshots();
+        res.serve.monitor_violations = streamer->violations();
+        res.serve.first_violation_snapshot =
+            streamer->first_violation_sample();
+        res.serve.achieved_ops_per_sec =
+            res.seconds > 0 ? res.total_ops / res.seconds : 0.0;
+        res.serve.churn_cycles = static_cast<long long>(
+            churn_gen.load(std::memory_order_relaxed));
+        res.serve.canary_leaks = canary_leaks;
+        res.serve.events_drained = streamer->events_drained();
+        res.serve.events_dropped = streamer->events_dropped();
     }
     return res;
 }

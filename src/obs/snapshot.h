@@ -119,7 +119,7 @@ class invariant_monitor {
 struct snapshot_config {
     int snapshot_ms = 100;
     /// Timeline JSONL path; empty = sample and monitor but write nothing
-    /// (the telemetry_overhead A/B uses a real file; tests may not).
+    /// (the telemetry_overhead A/B and the canary tests write no file).
     std::string path;
     /// Cap on events serialized per "events" line; the rest of a drain
     /// batch continues on following lines.

@@ -1,7 +1,8 @@
 // Tests for the sustained-service soak machinery: the invariant monitor's
 // sliding-window growth rule (src/obs/snapshot.h), the snapshot streamer's
 // JSONL timeline, and short end-to-end run_serve_trial_set runs covering
-// pacing, registration churn, and the leak canary (src/harness/serve.h).
+// pacing, registration churn, the leak canary and per-phase harvest (serve
+// mode of the one trial loop in src/harness/workload.h).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -380,6 +381,42 @@ TEST(ServeTrial, UnpacedZeroRateDegeneratesToClosedLoop) {
     EXPECT_GT(res.serve.achieved_ops_per_sec, 0.0);
     EXPECT_GE(res.serve.snapshots, 1);
     EXPECT_EQ(res.serve.monitor_violations, 0);
+    EXPECT_EQ(res.final_size, res.expected_final_size);
+}
+
+TEST(ServeTrial, PhasedServeTrialHarvestsEveryPhaseBoundary) {
+    // Serve mode runs the closed loop's control thread, so a phased soak
+    // reports one phase_metrics entry per phase boundary plus the
+    // trial-end close, exactly as run_trial does.
+    serve_mgr_t mgr(2, testutil::fast_config<serve_mgr_t>());
+    ds::ellen_bst<key_t, val_t, serve_mgr_t> bst(mgr);
+
+    harness::workload_config cfg = base_serve_config(240);
+    cfg.serve.ops_per_sec = 0;
+    cfg.lat_sample = 4;
+    cfg.phases = {{"churn", 40, 40, 60, 0}, {"read_mostly", 5, 5, 60, 0}};
+    const auto res = harness::run_serve_trial_set(
+        bst, mgr, cfg, harness::SMR_BENCH_SCHEMA_VERSION);
+
+    EXPECT_TRUE(res.serve.ran);
+    ASSERT_GE(res.phase_metrics.size(), 2u)
+        << "at least one boundary plus the trial-end close";
+    std::uint64_t lat_samples = 0;
+    for (std::size_t i = 0; i < res.phase_metrics.size(); ++i) {
+        const harness::phase_metric& m = res.phase_metrics[i];
+        // The two phases alternate, starting with phase 0.
+        EXPECT_EQ(m.phase, static_cast<int>(i % 2)) << "entry " << i;
+        if (i > 0) {
+            EXPECT_GE(m.at_ms, res.phase_metrics[i - 1].at_ms);
+            EXPECT_GE(m.records_retired,
+                      res.phase_metrics[i - 1].records_retired);
+        }
+        lat_samples += m.lat_samples;
+    }
+    EXPECT_GT(lat_samples, 0u);
+    EXPECT_LE(lat_samples, res.latency.total.count);
+    ASSERT_EQ(res.phase_ops.size(), 2u);
+    EXPECT_EQ(res.phase_ops[0] + res.phase_ops[1], res.total_ops);
     EXPECT_EQ(res.final_size, res.expected_final_size);
 }
 
