@@ -10,8 +10,8 @@
 // tables move to stderr so stdout carries nothing but the parseable
 // document. Exit codes: 0 = ran and every size invariant held (and
 // custom pass criteria passed), 1 = a trial violated the harness size
-// invariant or a custom scenario failed, 2 = usage error. CI's
-// bench-smoke job leans on those codes.
+// invariant or a custom scenario failed, 2 = usage error. The
+// smr_bench_smoke_* ctests lean on those codes.
 #include <unistd.h>
 
 #include <algorithm>

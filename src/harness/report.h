@@ -4,18 +4,16 @@
 // both sides of that contract: building the document from trial_results
 // (point_to_json / make_run_document) and checking that a document
 // honours the schema (validate_run_document -- used by the driver before
-// writing, by the unit tests for round-trip checks, and by the CI smoke
-// job on the uploaded artifact). Keeping builder and validator adjacent
-// is what stops the schema from drifting.
+// writing and by the unit tests for round-trip checks). Keeping builder
+// and validator adjacent is what stops the schema from drifting.
 //
 // Document shape (schema_version 4; v2 added the topology stanza and the
 // memory-placement counters in workload points; v3 added per-point tail-
 // latency observability and the range-query shape keys; v4 adds the
 // optional per-point "serve" stanza -- sustained-service telemetry -- and
 // the JSONL *timeline* sidecar format, validated line-by-line by
-// validate_timeline_line below. Validation accepts any version in
-// [SMR_BENCH_SCHEMA_MIN_VERSION, SMR_BENCH_SCHEMA_VERSION] so v3 nightly
-// baselines keep gating v4 runs):
+// validate_timeline_line below. Validation accepts exactly
+// SMR_BENCH_SCHEMA_VERSION):
 //   {
 //     "smr_bench_version": 4,
 //     "kind": "workload" | "table" | "ablation" | "guard_overhead"
@@ -61,10 +59,6 @@
 namespace smr::harness {
 
 inline constexpr int SMR_BENCH_SCHEMA_VERSION = 4;
-/// Oldest schema this build still reads (validators and bench_diff accept
-/// the closed range up to SMR_BENCH_SCHEMA_VERSION). v3 documents lack
-/// only additive stanzas (serve, timelines), so they stay comparable.
-inline constexpr int SMR_BENCH_SCHEMA_MIN_VERSION = 3;
 
 struct point_meta {
     std::string ds;
@@ -405,9 +399,8 @@ inline bool validate_run_document(const json& doc, std::string* err) {
                     err)) {
         return false;
     }
-    const long long ver = doc.find("smr_bench_version")->as_int();
-    if (!require(ver >= SMR_BENCH_SCHEMA_MIN_VERSION &&
-                     ver <= SMR_BENCH_SCHEMA_VERSION,
+    if (!require(doc.find("smr_bench_version")->as_int() ==
+                     SMR_BENCH_SCHEMA_VERSION,
                  "unsupported smr_bench_version", err)) {
         return false;
     }
@@ -575,9 +568,8 @@ inline bool validate_timeline_line(const json& line, std::string* err) {
                         err)) {
             return false;
         }
-        const long long ver = line.find("smr_bench_version")->as_int();
-        return require(ver >= SMR_BENCH_SCHEMA_MIN_VERSION &&
-                           ver <= SMR_BENCH_SCHEMA_VERSION,
+        return require(line.find("smr_bench_version")->as_int() ==
+                           SMR_BENCH_SCHEMA_VERSION,
                        "timeline_header: unsupported smr_bench_version",
                        err);
     }

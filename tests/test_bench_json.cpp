@@ -247,11 +247,10 @@ TEST(BenchJson, SchemaCatchesBrokenLatencyStanza) {
     }
 }
 
-// Regression test for bench_diff point-key collisions: two points that
-// differ only in range-scan shape must stay distinguishable, which
-// requires rq_pct/rq_len in the emitted point (the diff key includes
-// them). Before v3, range_scan_mix's per-rq_pct points collapsed into one
-// diff cell.
+// Two points that differ only in range-scan shape must stay
+// distinguishable to any reader that keys points by their configuration,
+// which requires rq_pct/rq_len in the emitted point. Before v3,
+// range_scan_mix's per-rq_pct points carried no field that told them apart.
 TEST(BenchJson, RangeShapeKeysDistinguishPoints) {
     harness::trial_result r;
     r.seconds = 0.1;
@@ -334,23 +333,28 @@ TEST(BenchJson, SchemaCatchesMissingOrMistypedKeys) {
     }
 }
 
-// ---- schema v4: version range, serve stanza, timeline lines ----------------
+// ---- schema v4: exact version, serve stanza, timeline lines ----------------
 
-TEST(BenchJson, VersionRangeAcceptsSupportedOlderDocuments) {
+TEST(BenchJson, ValidatorsAcceptOnlyTheCurrentVersion) {
+    // Run documents and timeline headers both carry exactly schema 4; a
+    // document from the schema before or after it fails either validator.
+    static_assert(harness::SMR_BENCH_SCHEMA_VERSION == 4);
     std::string err;
-    // The current version and every version back to MIN validate (nightly
-    // baselines from the previous schema keep gating across the bump).
-    for (int v = harness::SMR_BENCH_SCHEMA_MIN_VERSION;
-         v <= harness::SMR_BENCH_SCHEMA_VERSION; ++v) {
+    harness::json header = harness::json::object();
+    header.set("type", "timeline_header");
+    header.set("snapshot_ms", 25);
+    header.set("clock", "tsc");
+    header.set("ring_capacity", 4096);
+    for (const int v : {3, 4, 5}) {
+        const bool current = v == harness::SMR_BENCH_SCHEMA_VERSION;
         harness::json doc = sample_document();
         doc.set("smr_bench_version", v);
-        EXPECT_TRUE(harness::validate_run_document(doc, &err))
+        EXPECT_EQ(harness::validate_run_document(doc, &err), current)
             << "version " << v << ": " << err;
+        header.set("smr_bench_version", v);
+        EXPECT_EQ(harness::validate_timeline_line(header, &err), current)
+            << "timeline version " << v << ": " << err;
     }
-    // Below the floor and above the ceiling both fail.
-    harness::json doc = sample_document();
-    doc.set("smr_bench_version", harness::SMR_BENCH_SCHEMA_MIN_VERSION - 1);
-    EXPECT_FALSE(harness::validate_run_document(doc, &err));
 }
 
 TEST(BenchJson, ServeStanzaValidatesWhenPresent) {
@@ -406,7 +410,7 @@ json parse_line(const char* text) {
 
 TEST(BenchJson, TimelineLineValidation) {
     std::string err;
-    // Header: version in range, snapshot cadence, clock, ring capacity.
+    // Header: current version, snapshot cadence, clock, ring capacity.
     EXPECT_TRUE(harness::validate_timeline_line(
         parse_line("{\"type\":\"timeline_header\",\"smr_bench_version\":4,"
                    "\"snapshot_ms\":25,\"clock\":\"tsc\","

@@ -445,13 +445,17 @@ TYPED_TEST(SchemeMatrix, MsQueue) {
         workers.emplace_back([&] {
             auto handle = mgr.register_thread(2);
             auto acc = mgr.access(handle);
+            // Read producers_left before dequeueing: an empty dequeue that
+            // follows a 0 read came after every enqueue, so the queue is
+            // drained.
             for (;;) {
+                const bool producers_done = producers_left.load() == 0;
                 auto v = queue.dequeue(acc);
                 if (v) {
                     consumed_sum.fetch_add(*v);
                     consumed_count.fetch_add(1);
-                } else if (producers_left.load() == 0) {
-                    if (!queue.dequeue(acc)) break;
+                } else if (producers_done) {
+                    break;
                 } else {
                     std::this_thread::yield();
                 }

@@ -203,13 +203,17 @@ TYPED_TEST(QueueTyped, ConcurrentMpmcConservesElements) {
         workers.emplace_back([&, c] {
             auto handle = this->mgr_.register_thread(PRODUCERS + c);
             auto acc = this->mgr_.access(handle);
+            // Read producers_left before dequeueing: an empty dequeue that
+            // follows a 0 read came after every enqueue, so the queue is
+            // drained.
             for (;;) {
+                const bool producers_done = producers_left.load() == 0;
                 auto v = this->queue_.dequeue(acc);
                 if (v) {
                     consumed_sum.fetch_add(*v);
                     consumed_count.fetch_add(1);
-                } else if (producers_left.load() == 0) {
-                    if (!this->queue_.dequeue(acc)) break;
+                } else if (producers_done) {
+                    break;
                 } else {
                     std::this_thread::yield();
                 }
