@@ -236,7 +236,8 @@ int run_ablation_thresholds(const scenario& sc,
         std::printf("%12d %12.3f %16llu %14llu %12lld\n", check,
                     r.mops_per_sec(),
                     static_cast<unsigned long long>(checks),
-                    static_cast<unsigned long long>(r.epochs_advanced),
+                    static_cast<unsigned long long>(
+                        r.counters[stat::epochs_advanced]),
                     r.limbo_records);
         harness::json p = harness::json::object();
         p.set("sweep", "check_thresh");
@@ -244,7 +245,7 @@ int run_ablation_thresholds(const scenario& sc,
         p.set("threads", threads);
         p.set("throughput_mops", r.mops_per_sec());
         p.set("announcement_checks", checks);
-        p.set("epochs_advanced", r.epochs_advanced);
+        p.set("epochs_advanced", r.counters[stat::epochs_advanced]);
         p.set("limbo_records", r.limbo_records);
         points.push_back(std::move(p));
     }
@@ -268,14 +269,15 @@ int run_ablation_thresholds(const scenario& sc,
         record_invariant(r, "incr_thresh sweep");
         const auto rotations = mgr.stats().total(stat::rotations);
         std::printf("%12d %12.3f %14llu %12llu\n", incr, r.mops_per_sec(),
-                    static_cast<unsigned long long>(r.epochs_advanced),
+                    static_cast<unsigned long long>(
+                        r.counters[stat::epochs_advanced]),
                     static_cast<unsigned long long>(rotations));
         harness::json p = harness::json::object();
         p.set("sweep", "incr_thresh");
         p.set("value", incr);
         p.set("threads", 1);
         p.set("throughput_mops", r.mops_per_sec());
-        p.set("epochs_advanced", r.epochs_advanced);
+        p.set("epochs_advanced", r.counters[stat::epochs_advanced]);
         p.set("rotations", rotations);
         points.push_back(std::move(p));
     }
@@ -304,14 +306,15 @@ int run_ablation_thresholds(const scenario& sc,
         record_invariant(r, "suspect sweep");
         std::printf("%16d %12.3f %12llu %12lld\n", suspect,
                     r.mops_per_sec(),
-                    static_cast<unsigned long long>(r.neutralize_sent),
+                    static_cast<unsigned long long>(
+                        r.counters[stat::neutralize_signals_sent]),
                     r.limbo_records);
         harness::json p = harness::json::object();
         p.set("sweep", "suspect_threshold_blocks");
         p.set("value", suspect);
         p.set("threads", tp);
         p.set("throughput_mops", r.mops_per_sec());
-        p.set("neutralize_sent", r.neutralize_sent);
+        p.set("neutralize_sent", r.counters[stat::neutralize_signals_sent]);
         p.set("limbo_records", r.limbo_records);
         points.push_back(std::move(p));
     }

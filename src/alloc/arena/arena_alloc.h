@@ -183,12 +183,16 @@ class allocator_arena {
     /// cursor runs dry. One lock acquisition per batch; hand-out
     /// accounting happens in allocate() via the fresh segment.
     void refill(int tid, magazine& m) {
-        // Stall attribution: the shard lock + batch pull (possibly a slab
-        // carve) is the allocator's blocking path.
-        stall_scope stall(stats_, tid, stall_site::arena);
         const int s = topo::current_shard(tid);
         shard& sh = *shards_[static_cast<std::size_t>(s)];
         const int target = MAG_CAP / 2;
+        // The shard lock + batch pull (possibly a slab carve) is the
+        // allocator's blocking path. allocate() refills an empty
+        // magazine, so the batch is always `target`.
+        assert(m.count == 0);
+        obs::timed refilling(stats_, tid, obs::trace_event::arena_refill,
+                             static_cast<std::uint64_t>(target),
+                             static_cast<std::uint64_t>(s));
         std::lock_guard<std::mutex> lock(sh.mu);
         while (m.count < target && sh.free_list != nullptr) {
             free_node* n = sh.free_list;
@@ -205,9 +209,6 @@ class allocator_arena {
             sh.bump += SLOT;
         }
         m.fresh_hi = m.count;
-        obs::trace_emit(tid, obs::trace_event::arena_refill,
-                        static_cast<std::uint64_t>(m.count),
-                        static_cast<std::uint64_t>(s));
     }
 
     /// Sends the oldest `n` magazine slots to their *home* shards (slab
@@ -216,10 +217,9 @@ class allocator_arena {
     void flush(int tid, magazine& m, int n) {
         if (n > m.count) n = m.count;
         if (n <= 0) return;
-        // Stall attribution: per-home-shard lock acquisitions and splices.
-        stall_scope stall(stats_, tid, stall_site::arena);
-        obs::trace_emit(tid, obs::trace_event::arena_flush,
-                        static_cast<std::uint64_t>(n));
+        // Per-home-shard lock acquisitions and splices.
+        obs::timed flushing(stats_, tid, obs::trace_event::arena_flush,
+                            static_cast<std::uint64_t>(n));
         const int local = topo::current_shard(tid);
         int remote = 0;
         // Group by home shard: chain the items per shard, then splice each

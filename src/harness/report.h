@@ -48,6 +48,7 @@
 // envelope, so downstream tooling can always read scenario/config/verdict.
 #pragma once
 
+#include <array>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +60,34 @@
 namespace smr::harness {
 
 inline constexpr int SMR_BENCH_SCHEMA_VERSION = 4;
+
+/// The debug_stats counters a run document reports, in document order,
+/// under their document keys: every workload point's "reclamation" stanza
+/// carries all of them, each phase_metrics entry the per_phase ones.
+struct doc_counter {
+    const char* key;
+    stat counter;
+    bool per_phase;
+};
+
+inline constexpr std::array<doc_counter, 14> doc_counters = {{
+    {"records_retired", stat::records_retired, true},
+    {"records_pooled", stat::records_pooled, true},
+    {"records_allocated", stat::records_allocated, false},
+    {"records_reused", stat::records_reused, false},
+    {"epochs_advanced", stat::epochs_advanced, true},
+    {"neutralize_sent", stat::neutralize_signals_sent, true},
+    {"neutralize_received", stat::neutralize_signals_received, false},
+    {"hp_scans", stat::hp_scans, true},
+    {"era_scans", stat::era_scans, true},
+    {"op_restarts", stat::op_restarts, false},
+    // Memory-placement counters (sharded pool + arena allocator): all
+    // structurally zero on single-shard (single-socket) hosts.
+    {"pool_shared_steals", stat::pool_shared_steals, false},
+    {"pool_remote_steals", stat::pool_remote_steals, false},
+    {"pool_remote_returns", stat::pool_remote_returns, false},
+    {"arena_remote_frees", stat::arena_remote_frees, false},
+}};
 
 struct point_meta {
     std::string ds;
@@ -142,20 +171,9 @@ inline json point_to_json(const point_meta& m, const trial_result& r) {
     p.set("ops", std::move(ops));
 
     json rec = json::object();
-    rec.set("records_retired", r.records_retired);
-    rec.set("records_pooled", r.records_pooled);
-    rec.set("records_allocated", r.records_allocated);
-    rec.set("records_reused", r.records_reused);
-    rec.set("epochs_advanced", r.epochs_advanced);
-    rec.set("neutralize_sent", r.neutralize_sent);
-    rec.set("neutralize_received", r.neutralize_received);
-    rec.set("hp_scans", r.hp_scans);
-    rec.set("era_scans", r.era_scans);
-    rec.set("op_restarts", r.op_restarts);
-    rec.set("pool_shared_steals", r.pool_shared_steals);
-    rec.set("pool_remote_steals", r.pool_remote_steals);
-    rec.set("pool_remote_returns", r.pool_remote_returns);
-    rec.set("arena_remote_frees", r.arena_remote_frees);
+    for (const doc_counter& c : doc_counters) {
+        rec.set(c.key, r.counters[c.counter]);
+    }
     rec.set("limbo_records", r.limbo_records);
     rec.set("allocated_bytes", r.allocated_bytes);
     p.set("reclamation", std::move(rec));
@@ -172,12 +190,9 @@ inline json point_to_json(const point_meta& m, const trial_result& r) {
         json o = json::object();
         o.set("phase", m.phase);
         o.set("at_ms", m.at_ms);
-        o.set("records_retired", m.records_retired);
-        o.set("records_pooled", m.records_pooled);
-        o.set("epochs_advanced", m.epochs_advanced);
-        o.set("era_scans", m.era_scans);
-        o.set("hp_scans", m.hp_scans);
-        o.set("neutralize_sent", m.neutralize_sent);
+        for (const doc_counter& c : doc_counters) {
+            if (c.per_phase) o.set(c.key, m.counters[c.counter]);
+        }
         o.set("limbo_estimate", m.limbo_estimate);
         // Sampled-latency view of the closing phase occurrence (v3):
         // deltas except lat_max_ns, which is cumulative (see workload.h).

@@ -164,12 +164,7 @@ struct workload_config {
 struct phase_metric {
     int phase = 0;            // phase that just ended
     long long at_ms = 0;      // elapsed trial time at the snapshot
-    std::uint64_t records_retired = 0;
-    std::uint64_t records_pooled = 0;
-    std::uint64_t epochs_advanced = 0;
-    std::uint64_t era_scans = 0;
-    std::uint64_t hp_scans = 0;
-    std::uint64_t neutralize_sent = 0;
+    stat_totals counters;     // report.h's doc_counters picks the keys
     /// retired - pooled: records sitting in limbo bags, estimated from the
     /// race-free counters (limbo bag sizes themselves are owner-local).
     long long limbo_estimate = 0;
@@ -198,23 +193,9 @@ struct trial_result {
     long long final_size = 0;
     long long expected_final_size = 0;
 
-    // Reclamation metrics harvested from debug_stats after the trial.
-    std::uint64_t records_retired = 0;
-    std::uint64_t records_pooled = 0;
-    std::uint64_t records_allocated = 0;
-    std::uint64_t records_reused = 0;
-    std::uint64_t epochs_advanced = 0;
-    std::uint64_t neutralize_sent = 0;
-    std::uint64_t neutralize_received = 0;
-    std::uint64_t hp_scans = 0;
-    std::uint64_t era_scans = 0;
-    std::uint64_t op_restarts = 0;
-    // Memory-placement counters (sharded pool + arena allocator): all
-    // structurally zero on single-shard (single-socket) hosts.
-    std::uint64_t pool_shared_steals = 0;
-    std::uint64_t pool_remote_steals = 0;
-    std::uint64_t pool_remote_returns = 0;
-    std::uint64_t arena_remote_frees = 0;
+    // Reclamation metrics harvested from debug_stats after the trial
+    // (report.h's doc_counters picks the ones a run document reports).
+    stat_totals counters;
     long long limbo_records = 0;     // still waiting to be freed at the end
     long long allocated_bytes = -1;  // bump allocators only (Figure 9 right)
 
@@ -284,15 +265,10 @@ inline phase_metric snapshot_counters(const debug_stats& d, int phase,
     phase_metric m;
     m.phase = phase;
     m.at_ms = at_ms;
-    m.records_retired = d.total(stat::records_retired);
-    m.records_pooled = d.total(stat::records_pooled);
-    m.epochs_advanced = d.total(stat::epochs_advanced);
-    m.era_scans = d.total(stat::era_scans);
-    m.hp_scans = d.total(stat::hp_scans);
-    m.neutralize_sent = d.total(stat::neutralize_signals_sent);
+    m.counters = d.totals();
     m.limbo_estimate =
-        static_cast<long long>(m.records_retired) -
-        static_cast<long long>(m.records_pooled);
+        static_cast<long long>(m.counters[stat::records_retired]) -
+        static_cast<long long>(m.counters[stat::records_pooled]);
     return m;
 }
 
@@ -725,20 +701,7 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg,
     res.final_size = ds.size_slow();
 
     const debug_stats& d = mgr.stats();
-    res.records_retired = d.total(stat::records_retired);
-    res.records_pooled = d.total(stat::records_pooled);
-    res.records_allocated = d.total(stat::records_allocated);
-    res.records_reused = d.total(stat::records_reused);
-    res.epochs_advanced = d.total(stat::epochs_advanced);
-    res.neutralize_sent = d.total(stat::neutralize_signals_sent);
-    res.neutralize_received = d.total(stat::neutralize_signals_received);
-    res.hp_scans = d.total(stat::hp_scans);
-    res.era_scans = d.total(stat::era_scans);
-    res.op_restarts = d.total(stat::op_restarts);
-    res.pool_shared_steals = d.total(stat::pool_shared_steals);
-    res.pool_remote_steals = d.total(stat::pool_remote_steals);
-    res.pool_remote_returns = d.total(stat::pool_remote_returns);
-    res.arena_remote_frees = d.total(stat::arena_remote_frees);
+    res.counters = d.totals();
     res.limbo_records = mgr.total_limbo_all_types();
     res.allocated_bytes = mgr.total_allocated_bytes();
 

@@ -80,17 +80,7 @@ class blockbag {
     /// O(1) unhook + O(chain) tail walk: detaches every full block (all
     /// blocks except the head) and returns them as a chain. Used by DEBRA's
     /// rotateAndReclaim to hand an entire epoch's retirees to the pool.
-    chain_t take_full_blocks() noexcept {
-        chain_t c;
-        c.head = head_->next_relaxed();
-        if (c.head == nullptr) return c;
-        head_->set_next(nullptr);
-        c.count = blocks_ - 1;
-        blocks_ = 1;
-        c.tail = c.head;
-        while (c.tail->next_relaxed() != nullptr) c.tail = c.tail->next_relaxed();
-        return c;
-    }
+    chain_t take_full_blocks() noexcept { return detach_after(head_, 0); }
 
     /// Inserts one full block directly after the head. Used by pools
     /// adopting donated blocks.
@@ -112,79 +102,59 @@ class blockbag {
         return b;
     }
 
-    // ---- iteration & partition support (DEBRA+ rotate scan) -------------
-
-    /// Forward iterator over records. Also records its block ordinal so the
-    /// bag can compute, in O(1), how many blocks lie strictly after it.
-    class iterator {
-      public:
-        iterator() = default;
-        iterator(block_t* b, int i, int ord) noexcept
-            : b_(b), i_(i), ord_(ord) {
-            normalize();
-        }
-
-        T*& operator*() const noexcept { return b_->entries[i_]; }
-
-        iterator& operator++() noexcept {
-            ++i_;
-            normalize();
-            return *this;
-        }
-
-        bool operator==(const iterator& o) const noexcept {
-            return b_ == o.b_ && i_ == o.i_;
-        }
-        bool operator!=(const iterator& o) const noexcept {
-            return !(*this == o);
-        }
-
-        block_t* current_block() const noexcept { return b_; }
-        int block_ordinal() const noexcept { return ord_; }
-
-        friend void swap_entries(const iterator& a, const iterator& b) noexcept {
-            std::swap(a.b_->entries[a.i_], b.b_->entries[b.i_]);
-        }
-
-      private:
-        void normalize() noexcept {
-            // Only the head block can be non-full, so at most one hop.
-            while (b_ != nullptr && i_ >= b_->size) {
-                b_ = b_->next_relaxed();
-                i_ = 0;
-                ++ord_;
+    /// The scan-and-free partition (HP/HE/IBR scans, DEBRA+'s rotation
+    /// scan): moves every record `keep` accepts to the front of the bag,
+    /// then detaches every full block after the boundary -- the block
+    /// holding the slot just past the last kept record -- and returns them
+    /// as a chain. Every record in the chain was rejected by `keep`; the
+    /// head block always stays. Nothing kept sheds every full block;
+    /// everything kept sheds nothing. One `keep` call per record.
+    template <class Keep>
+    chain_t take_unkept(Keep&& keep) {
+        // Kept records fill the bag from the front, head block first:
+        // slot `slot` of block `to`, the bag's block number `ord`.
+        block_t* to = head_;
+        int slot = 0;
+        int ord = 0;
+        bool kept = false;
+        for (block_t* b = head_; b != nullptr; b = b->next_relaxed()) {
+            for (int i = 0; i < b->size; ++i) {
+                if (!keep(b->entries[i])) continue;
+                if (slot == to->size) {  // only the head is ever short
+                    to = to->next_relaxed();
+                    slot = 0;
+                    ++ord;
+                }
+                std::swap(b->entries[i], to->entries[slot++]);
+                kept = true;
             }
-            if (b_ == nullptr) { i_ = 0; ord_ = 0; }
         }
+        // With nothing kept the boundary would be the first non-empty
+        // block, sparing it; shed every full block instead.
+        if (!kept) return detach_after(head_, 0);
+        if (slot == to->size) {  // the slot just past lies in the next block
+            to = to->next_relaxed();
+            ++ord;
+        }
+        return to == nullptr ? chain_t{} : detach_after(to, ord);
+    }
 
-        block_t* b_ = nullptr;
-        int i_ = 0;
-        int ord_ = 0;
-    };
-
-    iterator begin() const noexcept { return iterator(head_, 0, 0); }
-    iterator end() const noexcept { return iterator(nullptr, 0, 0); }
-
-    /// Detaches all blocks strictly after the block `it` points into and
-    /// returns them as a chain. With `it` positioned one past the last
-    /// protected record (after the DEBRA+ partition pass), every record in
-    /// the returned chain is safe to reclaim. When `it == end()` nothing is
-    /// detached. O(chain) for the tail walk the consumer needs anyway.
-    chain_t take_blocks_after(const iterator& it) noexcept {
+  private:
+    /// Detaches every block after `b`, the bag's block number `ord`, and
+    /// returns them as a chain. O(chain) for the tail walk the consumer
+    /// needs anyway.
+    chain_t detach_after(block_t* b, int ord) noexcept {
         chain_t c;
-        block_t* boundary = it.current_block();
-        if (boundary == nullptr) return c;  // end(): keep everything
-        c.head = boundary->next_relaxed();
+        c.head = b->next_relaxed();
         if (c.head == nullptr) return c;
-        boundary->set_next(nullptr);
-        c.count = blocks_ - (it.block_ordinal() + 1);
-        blocks_ = it.block_ordinal() + 1;
+        b->set_next(nullptr);
+        c.count = blocks_ - (ord + 1);
+        blocks_ = ord + 1;
         c.tail = c.head;
         while (c.tail->next_relaxed() != nullptr) c.tail = c.tail->next_relaxed();
         return c;
     }
 
-  private:
     block_pool<T, B>& bpool_;
     block_t* head_;
     int blocks_;

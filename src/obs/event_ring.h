@@ -4,8 +4,12 @@
 // Every reclamation-lifecycle event -- a neutralization signal sent or
 // handled, a limbo-bag rotation, a scan-and-free batch, an epoch or era
 // advance, an arena magazine refill/flush, a thread registering or
-// deregistering -- is recorded as one fixed 32-byte record in the emitting
-// thread's SPSC ring. The design constraints, in order:
+// deregistering, a neutralization recovery -- is recorded as one fixed
+// 32-byte record in the emitting thread's SPSC ring. Each site makes one
+// call, obs::instant or the obs::timed bracket (bottom of this file),
+// which also bumps the event's debug_stats counter and, when timed, files
+// its duration under the event's stall column (event_table). The design
+// constraints, in order:
 //
 //   1. Signal-safe producer. DEBRA+'s neutralize handler emits events from
 //      async-signal context, so the record path allocates nothing, takes no
@@ -54,6 +58,7 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -67,32 +72,52 @@
 namespace smr::obs {
 
 /// The event taxonomy (DESIGN.md Section 12.1). Values are part of the
-/// timeline format: trace_export and the tests name events through
-/// trace_event_names, so append-only.
+/// timeline format: the timeline names events through event_table, so
+/// append-only.
 enum class trace_event : int {
-    thread_register,     // record_manager init_thread     (a0 = tid)
-    thread_deregister,   // record_manager deinit_thread   (a0 = tid)
-    neutralize_sent,     // DEBRA+ suspectNeutralized kill (a0 = target tid)
-    neutralize_handled,  // handler ran non-quiescent, will longjmp
-    neutralize_benign,   // handler ran quiescent, absorbed
-    limbo_rotation,      // limbo-bag rotation             (a0 = bag blocks)
-    scan_free,           // HP/HE/IBR/DEBRA+ scan batch    (a0 = bag size)
-    epoch_advance,       // successful epoch CAS           (a0 = new epoch)
-    era_advance,         // era clock tick on retire       (a0 = new era)
-    arena_refill,        // arena magazine refill          (a0 = batch)
-    arena_flush,         // arena magazine flush           (a0 = batch)
+    thread_register,      // record_manager init_thread     (a0 = tid)
+    thread_deregister,    // record_manager deinit_thread   (a0 = tid)
+    neutralize_sent,      // DEBRA+ suspectNeutralized kill (a0 = target tid)
+    neutralize_handled,   // handler ran non-quiescent, will longjmp
+    neutralize_benign,    // handler ran quiescent, absorbed
+    limbo_rotation,       // limbo-bag rotation             (a0 = bag blocks)
+    scan_free,            // HP/HE/IBR/DEBRA+ scan batch    (a0 = bag size)
+    epoch_advance,        // successful epoch CAS           (a0 = new epoch)
+    era_advance,          // era clock tick on retire       (a0 = new era)
+    arena_refill,         // arena magazine refill          (a0 = batch)
+    arena_flush,          // arena magazine flush           (a0 = batch)
+    neutralize_recovery,  // run_guarded's recovery arm after a longjmp
     COUNT
 };
 
 inline constexpr int N_TRACE_EVENTS = static_cast<int>(trace_event::COUNT);
 
-inline constexpr std::array<std::string_view, N_TRACE_EVENTS>
-    trace_event_names = {
-        "thread_register", "thread_deregister", "neutralize_sent",
-        "neutralize_handled", "neutralize_benign", "limbo_rotation",
-        "scan_free", "epoch_advance", "era_advance", "arena_refill",
-        "arena_flush",
+/// What one event is, besides its ring record: its timeline name, the
+/// debug_stats counter it bumps, and the latency.stalls column a timed
+/// site files its duration under. stat::COUNT means no counter --
+/// scan_free's counter is named by the scheme (hp_scans or era_scans);
+/// stall_site::COUNT means the event is never timed.
+struct event_info {
+    std::string_view name;
+    stat counter;
+    stall_site column;
 };
+
+inline constexpr std::array<event_info, N_TRACE_EVENTS> event_table = {{
+    {"thread_register", stat::COUNT, stall_site::COUNT},
+    {"thread_deregister", stat::COUNT, stall_site::COUNT},
+    {"neutralize_sent", stat::neutralize_signals_sent, stall_site::COUNT},
+    {"neutralize_handled", stat::neutralize_signals_received,
+     stall_site::COUNT},
+    {"neutralize_benign", stat::benign_signals_received, stall_site::COUNT},
+    {"limbo_rotation", stat::rotations, stall_site::rotation},
+    {"scan_free", stat::COUNT, stall_site::scan_free},
+    {"epoch_advance", stat::epochs_advanced, stall_site::COUNT},
+    {"era_advance", stat::epochs_advanced, stall_site::COUNT},
+    {"arena_refill", stat::COUNT, stall_site::arena},
+    {"arena_flush", stat::COUNT, stall_site::arena},
+    {"neutralize_recovery", stat::COUNT, stall_site::neutralize},
+}};
 
 /// One decoded record, consumer side.
 struct event_record {
@@ -369,7 +394,7 @@ class event_trace {
 /// no init guard) so the DEBRA+ signal handler can emit through it safely.
 inline event_trace g_event_trace;
 
-/// The emission entry point every subsystem calls, and the smr_lint SS1
+/// The ring half of instant() and timed below, and the smr_lint SS1
 /// signal-safety root for the event-ring record path: everything reachable
 /// from here must stay in the no-alloc/no-lock closure.
 // smr-lint: signal-safe (delegates to event_trace::emit; reachability root
@@ -378,5 +403,57 @@ inline void trace_emit(int tid, trace_event ev, std::uint64_t a0 = 0,
                        std::uint64_t a1 = 0) noexcept {
     g_event_trace.emit(tid, ev, a0, a1);
 }
+
+/// One instant event: bumps the event's counter (event_table; `counter`
+/// overrides it -- scan_free's is named by the scheme) unless `stats` is
+/// null, then emits the ring record: at most one relaxed add and one
+/// trace-enabled load.
+// smr-lint: signal-safe (debug_stats::add plus trace_emit; the neutralize
+// handler's events go through here)
+inline void instant(debug_stats* stats, int tid, trace_event ev,
+                    std::uint64_t a0 = 0, std::uint64_t a1 = 0,
+                    stat counter = stat::COUNT) noexcept {
+    if (counter == stat::COUNT)
+        counter = event_table[static_cast<std::size_t>(ev)].counter;
+    if (stats != nullptr && counter != stat::COUNT) stats->add(tid, counter);
+    trace_emit(tid, ev, a0, a1);
+}
+
+/// RAII bracket for a timed event: on entry it reads the clock and makes
+/// the instant() call; on exit it files the elapsed time under the
+/// event's stall column (event_table). A null `stats` skips the clock,
+/// the counter and the duration; the ring record is still emitted.
+class timed {
+  public:
+    // smr-lint: signal-safe (lat_clock::now plus instant; the recovery
+    // arm's bracket opens here)
+    timed(debug_stats* stats, int tid, trace_event ev, std::uint64_t a0 = 0,
+          std::uint64_t a1 = 0, stat counter = stat::COUNT) noexcept
+        : stats_(stats), tid_(tid), ev_(ev),
+          t0_(stats != nullptr ? lat_clock::now() : 0) {
+        assert(event_table[static_cast<std::size_t>(ev)].column !=
+               stall_site::COUNT);
+        instant(stats, tid, ev, a0, a1, counter);
+    }
+
+    timed(const timed&) = delete;
+    timed& operator=(const timed&) = delete;
+
+    // smr-lint: signal-safe (lat_clock::now plus debug_stats::stall; the
+    // recovery arm's bracket closes here)
+    ~timed() {
+        if (stats_ != nullptr) {
+            stats_->stall(tid_,
+                          event_table[static_cast<std::size_t>(ev_)].column,
+                          lat_clock::to_nanos(lat_clock::now() - t0_));
+        }
+    }
+
+  private:
+    debug_stats* stats_;
+    int tid_;
+    trace_event ev_;
+    std::uint64_t t0_;
+};
 
 }  // namespace smr::obs

@@ -317,7 +317,7 @@ class snapshot_streamer {
                 row.push_back(e.tid);
                 row.push_back(std::string(
                     e.ev < trace_event::COUNT
-                        ? trace_event_names[static_cast<std::size_t>(e.ev)]
+                        ? event_table[static_cast<std::size_t>(e.ev)].name
                         : std::string_view("unknown")));
                 row.push_back(static_cast<long long>(e.arg0));
                 row.push_back(static_cast<long long>(e.arg1));

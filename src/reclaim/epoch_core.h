@@ -144,9 +144,8 @@ class epoch_core {
                 std::uint64_t expected = read_epoch;
                 if (epoch_.compare_exchange_strong(expected, read_epoch + 2,
                                                    std::memory_order_seq_cst)) {
-                    if (stats_) stats_->add(tid, stat::epochs_advanced);
-                    obs::trace_emit(tid, obs::trace_event::epoch_advance,
-                                    read_epoch + 2);
+                    obs::instant(stats_, tid, obs::trace_event::epoch_advance,
+                                 read_epoch + 2);
                 }
                 return;  // someone advanced the epoch; next leave re-reads it
             }

@@ -13,29 +13,24 @@
 //   * 2GE-IBR publishes one [lower, upper] interval per thread at quiescence
 //     granularity (reclaimer_ibr.h).
 //
-// Both reuse the three pieces in this header:
+// Both reuse the two pieces in this header:
 //
 //   * era_clock -- the monotonic global era, advanced every `era_freq`
 //     retires (per thread, so a lone retiring thread cannot thrash it);
 //   * era_record<T> -- the per-record header carrying the stamps. Managed
 //     types stay untouched (and trivially destructible); the record manager
 //     transparently allocates era_record<T> and hands out &rec->value (see
-//     record_manager.h "era stamping");
-//   * era_limbo -- the per-type retired bag: O(1) retire, and a partition
-//     scan every scan_threshold records that frees every record whose
-//     interval no reservation intersects (the same move-full-blocks trick
-//     as the HP and DEBRA+ scans).
+//     record_manager.h "era stamping").
+//
+// Retired records wait in ../scan_bag.h, HP's bag: a scan frees every
+// record whose interval no reservation intersects.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "../../mem/block_pool.h"
-#include "../../mem/blockbag.h"
 #include "../../obs/event_ring.h"
 #include "../../util/debug_stats.h"
 #include "../../util/padded.h"
@@ -73,8 +68,7 @@ class era_clock {
             L.retires_since_advance = 0;
             const std::uint64_t e =
                 era_.fetch_add(1, std::memory_order_seq_cst) + 1;
-            if (stats_) stats_->add(tid, stat::epochs_advanced);
-            obs::trace_emit(tid, obs::trace_event::era_advance, e);
+            obs::instant(stats_, tid, obs::trace_event::era_advance, e);
         }
     }
 
@@ -109,105 +103,6 @@ struct era_record {
         return reinterpret_cast<era_record*>(
             reinterpret_cast<char*>(p) - offsetof(era_record, value));
     }
-};
-
-/// Per-type retired-record bag for era schemes. `T` is the *stored* type
-/// (an era_record instantiation). `Global` supplies the reservation
-/// snapshot: `Global::snapshot_t s; s.collect(global);
-/// s.covers(birth, retire)`.
-///
-/// retire() is O(1); when the bag reaches global.scan_threshold_records()
-/// the thread snapshots every reservation, partitions the bag so covered
-/// records sit at the front, and moves every full block after the partition
-/// point to the pool -- expected amortized O(1) per record, and a limbo
-/// bound of scan_threshold + one partial block per thread and type.
-template <class T, class Pool, int B, class Global>
-class era_limbo {
-    static_assert(requires(T* p) {
-        { p->birth_era } -> std::convertible_to<std::uint64_t>;
-        { p->retire_era } -> std::convertible_to<std::uint64_t>;
-    }, "era_limbo manages era_record-wrapped storage");
-
-  public:
-    era_limbo(int num_threads, Global& global, Pool& pool,
-              mem::block_pool_array<T, B>& bpools, debug_stats* stats)
-        : num_threads_(num_threads), global_(global), pool_(pool),
-          stats_(stats) {
-        states_.reserve(static_cast<std::size_t>(num_threads));
-        for (int t = 0; t < num_threads; ++t)
-            states_.push_back(std::make_unique<tstate>(bpools[t]));
-    }
-
-    era_limbo(const era_limbo&) = delete;
-    era_limbo& operator=(const era_limbo&) = delete;
-
-    /// Teardown is single-threaded and after all threads quiesced; every
-    /// limbo record is safe.
-    ~era_limbo() {
-        for (int t = 0; t < num_threads_; ++t) {
-            while (T* p = states_[t]->bag.remove()) pool_.release(t, p);
-        }
-    }
-
-    void retire(int tid, T* p) {
-        if (stats_) stats_->add(tid, stat::records_retired);
-        tstate& st = *states_[tid];
-        st.bag.add(p);
-        if (st.bag.size() >= global_.scan_threshold_records()) scan(tid);
-    }
-
-    /// Era schemes reclaim from retire(); the manager-level rotation hook
-    /// is a no-op.
-    void rotate_and_reclaim(int) noexcept {}
-    int current_bag_blocks(int tid) const {
-        return states_[tid]->bag.size_in_blocks();
-    }
-    long long limbo_size(int tid) const { return states_[tid]->bag.size(); }
-
-    /// Snapshot reservations and free every record whose lifetime interval
-    /// none of them intersects. Public so tests and draining shutdown paths
-    /// can force a pass.
-    void scan(int tid) {
-        // Stall attribution: the reservation snapshot + interval partition
-        // is the era schemes' stop-the-thread pass.
-        stall_scope stall(stats_, tid, stall_site::scan_free);
-        if (stats_) stats_->add(tid, stat::era_scans);
-        tstate& st = *states_[tid];
-        obs::trace_emit(tid, obs::trace_event::scan_free,
-                        static_cast<std::uint64_t>(st.bag.size()));
-        st.snap.collect(global_);
-        auto it1 = st.bag.begin();
-        auto it2 = st.bag.begin();
-        const auto end = st.bag.end();
-        while (it1 != end) {
-            T* rec = *it1;
-            if (st.snap.covers(rec->birth_era, rec->retire_era)) {
-                swap_entries(it1, it2);
-                ++it2;
-            }
-            ++it1;
-        }
-        // See reclaimer_debra_plus.h: an empty covered partition leaves it2
-        // inside the first non-empty block; shed all full blocks then.
-        if (it2 == st.bag.begin()) {
-            pool_.accept_chain(tid, st.bag.take_full_blocks());
-        } else {
-            pool_.accept_chain(tid, st.bag.take_blocks_after(it2));
-        }
-    }
-
-  private:
-    struct tstate {
-        explicit tstate(mem::block_pool<T, B>& bp) : bag(bp) {}
-        mem::blockbag<T, B> bag;
-        typename Global::snapshot_t snap;
-    };
-
-    const int num_threads_;
-    Global& global_;
-    Pool& pool_;
-    debug_stats* stats_;
-    std::vector<std::unique_ptr<tstate>> states_;
 };
 
 }  // namespace smr::reclaim

@@ -11,10 +11,11 @@
 //     contains e, so consecutive protects in the same era alias the same
 //     slot and cost no store and no fence at all -- the main throughput win
 //     over classic HPs, which pay a full fence per protect;
-//   * retired records collect in per-thread era_limbo bags; at
-//     2nK + slack records the thread snapshots all nK slots and frees every
-//     record whose interval no published era hits (O(log nK) per record via
-//     a sorted snapshot). Same bounded-limbo guarantee as HPs.
+//   * retired records collect in per-thread scan bags (../scan_bag.h, as
+//     for HPs); at 2nK + slack records the thread snapshots all nK slots
+//     and frees every record whose interval no published era hits
+//     (O(log nK) per record via a sorted snapshot). Same bounded-limbo
+//     guarantee as HPs.
 //
 // Applicability matches HPs: protect() runs the data structure's validation
 // predicate whenever it publishes a new era, and the structures already
@@ -35,6 +36,7 @@
 #include "../../mem/block_pool.h"
 #include "../../util/debug_stats.h"
 #include "../../util/padded.h"
+#include "../scan_bag.h"
 #include "era_core.h"
 
 namespace smr::reclaim {
@@ -186,8 +188,8 @@ class he_global {
 
     // ---- scanner side -----------------------------------------------------
 
-    /// Sorted snapshot of every published era; covers() is a binary search
-    /// for any reservation inside [birth, retire].
+    /// Sorted snapshot of every published era; keeps() is a binary search
+    /// for any reservation inside the record's [birth, retire].
     class snapshot_t {
       public:
         void collect(const he_global& g) {
@@ -200,16 +202,18 @@ class he_global {
             }
             std::sort(eras_.begin(), eras_.end());
         }
-        bool covers(std::uint64_t birth, std::uint64_t retire) const noexcept {
+        template <class Rec>
+        bool keeps(const Rec* r) const noexcept {
             const auto it =
-                std::lower_bound(eras_.begin(), eras_.end(), birth);
-            return it != eras_.end() && *it <= retire;
+                std::lower_bound(eras_.begin(), eras_.end(), r->birth_era);
+            return it != eras_.end() && *it <= r->retire_era;
         }
 
       private:
         std::vector<std::uint64_t> eras_;
     };
 
+    static constexpr stat scan_counter = stat::era_scans;
     long long scan_threshold_records() const noexcept {
         return 2LL * num_threads_ * K + cfg_.scan_slack_records;
     }
@@ -285,7 +289,7 @@ struct reclaim_he {
     using stored = era_record<T>;
 
     template <class T, class Pool, int B = mem::DEFAULT_BLOCK_SIZE>
-    using per_type = era_limbo<T, Pool, B, global_state>;
+    using per_type = scan_bag<T, Pool, B, global_state>;
 };
 
 }  // namespace smr::reclaim

@@ -19,8 +19,8 @@
 //     records whose lifetime intersects its (frozen) interval -- records
 //     born after its upper bound reclaim normally, so limbo stays bounded
 //     where DEBRA's grows without bound;
-//   * retired records collect in per-thread era_limbo bags and are freed by
-//     an interval-intersection scan at the scan threshold.
+//   * retired records collect in per-thread scan bags (../scan_bag.h) and
+//     are freed by an interval-intersection scan at the scan threshold.
 //
 // Traits: quiescence_based (the interval is anchored at operation
 // boundaries) AND per_access_protection (the refresh rides the protect()
@@ -37,6 +37,7 @@
 #include "../../mem/block_pool.h"
 #include "../../util/debug_stats.h"
 #include "../../util/padded.h"
+#include "../scan_bag.h"
 #include "era_core.h"
 
 namespace smr::reclaim {
@@ -153,7 +154,7 @@ class ibr_global {
 
     // ---- scanner side -----------------------------------------------------
 
-    /// Snapshot of every active [lower, upper] pair; covers() is an O(n)
+    /// Snapshot of every active [lower, upper] pair; keeps() is an O(n)
     /// interval-intersection test (n = threads, small and cache-resident).
     class snapshot_t {
       public:
@@ -172,9 +173,11 @@ class ibr_global {
                 intervals_.push_back({lo, hi});
             }
         }
-        bool covers(std::uint64_t birth, std::uint64_t retire) const noexcept {
+        template <class Rec>
+        bool keeps(const Rec* r) const noexcept {
             for (const auto& iv : intervals_) {
-                if (iv.lo <= retire && birth <= iv.hi) return true;
+                if (iv.lo <= r->retire_era && r->birth_era <= iv.hi)
+                    return true;
             }
             return false;
         }
@@ -186,6 +189,7 @@ class ibr_global {
         std::vector<interval> intervals_;
     };
 
+    static constexpr stat scan_counter = stat::era_scans;
     long long scan_threshold_records() const noexcept {
         return 2LL * num_threads_ * cfg_.era_freq + cfg_.scan_slack_records;
     }
@@ -222,7 +226,7 @@ struct reclaim_ibr {
     using stored = era_record<T>;
 
     template <class T, class Pool, int B = mem::DEFAULT_BLOCK_SIZE>
-    using per_type = era_limbo<T, Pool, B, global_state>;
+    using per_type = scan_bag<T, Pool, B, global_state>;
 };
 
 }  // namespace smr::reclaim

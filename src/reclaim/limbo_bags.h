@@ -56,15 +56,13 @@ class limbo_bags {
 
     /// Rotate on announcement change; move all full blocks of the (old)
     /// oldest bag to the pool. O(1) plus work proportional to blocks freed.
+    /// The rotation and the pool hand-off of the freed bag are the epoch
+    /// schemes' stop-the-thread moment, timed under the rotation column.
     void rotate_and_reclaim(int tid) {
-        // Stall attribution: the rotation (and the pool hand-off of the
-        // freed bag) is the epoch schemes' stop-the-thread moment.
-        stall_scope stall(stats_, tid, stall_site::rotation);
         tstate& st = *states_[tid];
         st.index = (st.index + 1) % 3;
-        if (stats_) stats_->add(tid, stat::rotations);
-        obs::trace_emit(
-            tid, obs::trace_event::limbo_rotation,
+        obs::timed rotating(
+            stats_, tid, obs::trace_event::limbo_rotation,
             static_cast<std::uint64_t>(st.current().size_in_blocks()));
         pool_.accept_chain(tid, st.current().take_full_blocks());
     }

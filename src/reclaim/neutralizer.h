@@ -61,16 +61,14 @@ inline void neutralize_handler(int /*signum*/) {
     if (a & 1) {
         // Quiescent: between operations, inside a preamble/postamble, or
         // already executing recovery. Resume as if nothing happened.
-        if (c->stats) c->stats->add(c->tid, stat::benign_signals_received);
-        obs::trace_emit(c->tid, obs::trace_event::neutralize_benign);
+        obs::instant(c->stats, c->tid, obs::trace_event::neutralize_benign);
         return;
     }
     // Non-quiescent: enter a quiescent state and jump to recovery. The
-    // trace record must precede the siglongjmp (nothing runs after it);
-    // trace_emit is part of the signal-safe closure.
+    // event must precede the siglongjmp (nothing runs after it);
+    // obs::instant is part of the signal-safe closure.
     c->announce->store(a | 1, std::memory_order_seq_cst);
-    if (c->stats) c->stats->add(c->tid, stat::neutralize_signals_received);
-    obs::trace_emit(c->tid, obs::trace_event::neutralize_handled);
+    obs::instant(c->stats, c->tid, obs::trace_event::neutralize_handled);
     siglongjmp(c->env, 1);
 }
 

@@ -198,9 +198,8 @@ class debra_plus_global {
         t.gate.lock();
         if (t.active.load(std::memory_order_seq_cst) &&
             pthread_kill(t.pthread, NEUTRALIZE_SIGNAL) == 0) {
-            if (stats_) stats_->add(tid, stat::neutralize_signals_sent);
-            obs::trace_emit(tid, obs::trace_event::neutralize_sent,
-                            static_cast<std::uint64_t>(other));
+            obs::instant(stats_, tid, obs::trace_event::neutralize_sent,
+                         static_cast<std::uint64_t>(other));
         }
         t.gate.unlock();
         return true;  // signaled, or already deregistered: quiescent either way
@@ -249,43 +248,24 @@ struct reclaim_debra_plus {
         void rotate_and_reclaim(int tid) {
             auto& st = *this->states_[tid];
             st.index = (st.index + 1) % 3;
-            if (this->stats_) this->stats_->add(tid, stat::rotations);
             auto& bag = st.current();
-            obs::trace_emit(
-                tid, obs::trace_event::limbo_rotation,
-                static_cast<std::uint64_t>(bag.size_in_blocks()));
+            obs::instant(this->stats_, tid, obs::trace_event::limbo_rotation,
+                         static_cast<std::uint64_t>(bag.size_in_blocks()));
             if (bag.size_in_blocks() < global_.cfg().scan_threshold_blocks)
                 return;  // defer: records simply wait one more rotation
 
-            // Stall attribution: past the deferral check this is DEBRA+'s
-            // scan-and-free pass (RProtected partition), not the O(1)
-            // rotation -- file it with the HP/HE scans.
-            stall_scope stall(this->stats_, tid, stall_site::scan_free);
-            obs::trace_emit(
-                tid, obs::trace_event::scan_free,
-                static_cast<std::uint64_t>(bag.size_in_blocks()));
+            // Past the deferral check this is DEBRA+'s scan-and-free pass
+            // (RProtected partition), not the O(1) rotation: its event and
+            // stall column are scan_free, with the HP/HE/IBR scans.
+            obs::timed scanning(this->stats_, tid,
+                                obs::trace_event::scan_free,
+                                static_cast<std::uint64_t>(bag.size()));
             mem::ptr_hashset& scan_set = *scan_sets_[tid];
             scan_set.clear();
             global_.collect_rprotected(scan_set);
-
-            auto it1 = bag.begin();
-            auto it2 = bag.begin();
-            const auto end = bag.end();
-            while (it1 != end) {
-                if (scan_set.contains(*it1)) {
-                    swap_entries(it1, it2);
-                    ++it2;
-                }
-                ++it1;
-            }
-            // it2 is one past the last protected record. When nothing was
-            // protected it still points *into* the first non-empty block;
-            // shed every full block in that case rather than sparing one.
-            if (it2 == bag.begin()) {
-                this->pool_.accept_chain(tid, bag.take_full_blocks());
-            } else {
-                this->pool_.accept_chain(tid, bag.take_blocks_after(it2));
-            }
+            this->pool_.accept_chain(tid, bag.take_unkept([&](T* p) {
+                return scan_set.contains(p);
+            }));
         }
 
       private:

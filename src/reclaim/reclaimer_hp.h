@@ -14,21 +14,18 @@
 // 2nK + O(B) records, the thread hashes all nK hazard slots (O(1) expected
 // membership tests) and frees every unprotected record -- at least half the
 // bag -- giving O(1) expected amortized retirement (Section 3, "Hazard
-// Pointers"). The scan reuses the same partition-then-move-full-blocks trick
-// as DEBRA+'s rotate so reclamation still moves whole blocks.
+// Pointers"). The bag is scan_bag.h, shared with HE and IBR; its partition
+// pass is DEBRA+'s rotation scan, so reclamation still moves whole blocks.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <cassert>
-#include <memory>
-#include <vector>
 
 #include "../mem/block_pool.h"
 #include "../mem/ptr_hashset.h"
-#include "../obs/event_ring.h"
 #include "../util/debug_stats.h"
 #include "../util/padded.h"
+#include "scan_bag.h"
 
 namespace smr::reclaim {
 
@@ -179,6 +176,23 @@ class hp_global {
         }
     }
 
+    /// The scan bag's snapshot: the announced pointers, hashed.
+    class snapshot_t {
+      public:
+        /// Slot chains may have grown since the last scan (guard_span);
+        /// re-size the set to the current capacity before collecting.
+        void collect(const hp_global& g) {
+            set_.reserve(g.max_hazards());
+            set_.clear();
+            g.collect_hazards(set_);
+        }
+        bool keeps(const void* p) const noexcept { return set_.contains(p); }
+
+      private:
+        mem::ptr_hashset set_{0};
+    };
+    static constexpr stat scan_counter = stat::hp_scans;
+
     /// Current slot capacity across all threads (grows as chunks are
     /// appended; never shrinks). Scanners size their hash set from this.
     std::size_t max_hazards() const noexcept {
@@ -235,88 +249,7 @@ struct reclaim_hp {
     using global_state = detail::hp_global;
 
     template <class T, class Pool, int B = mem::DEFAULT_BLOCK_SIZE>
-    class per_type {
-      public:
-        per_type(int num_threads, global_state& global, Pool& pool,
-                 mem::block_pool_array<T, B>& bpools, debug_stats* stats)
-            : num_threads_(num_threads), global_(global), pool_(pool),
-              stats_(stats) {
-            states_.reserve(static_cast<std::size_t>(num_threads));
-            for (int t = 0; t < num_threads; ++t)
-                states_.push_back(std::make_unique<tstate>(
-                    bpools[t], global.max_hazards()));
-        }
-
-        per_type(const per_type&) = delete;
-        per_type& operator=(const per_type&) = delete;
-
-        ~per_type() {
-            for (int t = 0; t < num_threads_; ++t) {
-                while (T* p = states_[t]->bag.remove()) pool_.release(t, p);
-            }
-        }
-
-        void retire(int tid, T* p) {
-            if (stats_) stats_->add(tid, stat::records_retired);
-            tstate& st = *states_[tid];
-            st.bag.add(p);
-            if (st.bag.size() >= global_.scan_threshold_records()) scan(tid);
-        }
-
-        /// HPs reclaim from retire(); the manager-level rotation hook is a
-        /// no-op.
-        void rotate_and_reclaim(int) noexcept {}
-        int current_bag_blocks(int tid) const {
-            return states_[tid]->bag.size_in_blocks();
-        }
-        long long limbo_size(int tid) const { return states_[tid]->bag.size(); }
-
-      private:
-        struct tstate {
-            tstate(mem::block_pool<T, B>& bp, std::size_t max_hazards)
-                : bag(bp), scan_set(max_hazards) {}
-            mem::blockbag<T, B> bag;
-            mem::ptr_hashset scan_set;
-        };
-
-        void scan(int tid) {
-            // Stall attribution: the full hazard scan is HP's dominant
-            // per-thread pause (O(retired + hazards) with the set build).
-            stall_scope stall(stats_, tid, stall_site::scan_free);
-            if (stats_) stats_->add(tid, stat::hp_scans);
-            tstate& st = *states_[tid];
-            obs::trace_emit(tid, obs::trace_event::scan_free,
-                            static_cast<std::uint64_t>(st.bag.size()));
-            // Slot chains may have grown since construction (guard_span);
-            // re-size the set to the current capacity before collecting.
-            st.scan_set.reserve(global_.max_hazards());
-            st.scan_set.clear();
-            global_.collect_hazards(st.scan_set);
-            auto it1 = st.bag.begin();
-            auto it2 = st.bag.begin();
-            const auto end = st.bag.end();
-            while (it1 != end) {
-                if (st.scan_set.contains(*it1)) {
-                    swap_entries(it1, it2);
-                    ++it2;
-                }
-                ++it1;
-            }
-            // See reclaimer_debra_plus.h: an empty partition leaves it2
-            // inside the first non-empty block; shed all full blocks then.
-            if (it2 == st.bag.begin()) {
-                pool_.accept_chain(tid, st.bag.take_full_blocks());
-            } else {
-                pool_.accept_chain(tid, st.bag.take_blocks_after(it2));
-            }
-        }
-
-        const int num_threads_;
-        global_state& global_;
-        Pool& pool_;
-        debug_stats* stats_;
-        std::vector<std::unique_ptr<tstate>> states_;
-    };
+    using per_type = scan_bag<T, Pool, B, global_state>;
 };
 
 }  // namespace smr::reclaim

@@ -52,7 +52,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "../util/debug_stats.h"
+#include "../obs/event_ring.h"
 
 namespace smr {
 
@@ -506,11 +506,11 @@ class accessor {
                 return done;
             },
             [&](int) {
-                // Stall attribution: this arm only runs after a
-                // neutralization longjmp (quiescent, signals benign), so
-                // its duration is the neutralization recovery cost.
-                stall_scope stall(&mgr->stats(), tid,
-                                  stall_site::neutralize);
+                // This arm only runs after a neutralization longjmp
+                // (quiescent, signals benign), so its duration is the
+                // neutralization recovery cost.
+                obs::timed recovering(&mgr->stats(), tid,
+                                      obs::trace_event::neutralize_recovery);
                 const bool done = recovery();
                 mgr->runprotect_all(tid);
                 return done;

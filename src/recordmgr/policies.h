@@ -12,7 +12,6 @@
 #include "../alloc/allocator_new.h"
 #include "../alloc/arena/arena_alloc.h"
 #include "../pool/pool_discard.h"
-#include "../pool/pool_none.h"
 #include "../pool/pool_perthread_shared.h"
 
 namespace smr {
@@ -43,13 +42,6 @@ struct alloc_arena {
 };
 
 // ---- Pool tags -----------------------------------------------------------
-
-/// No pooling: safe records go straight back to the allocator.
-struct pool_passthrough {
-    static constexpr const char* name = "none";
-    template <class T, class Alloc, int B>
-    using bind = pool::pool_none<T, Alloc, B>;
-};
 
 /// Experiment-1 pool: reclamation bookkeeping runs, records are abandoned.
 struct pool_discarding {

@@ -175,8 +175,8 @@ class record_manager {
                "init_thread: tid is already registered (double init)");
         st.store(LIFE_REGISTERED, std::memory_order_relaxed);
         global_.init_thread(tid);
-        obs::trace_emit(tid, obs::trace_event::thread_register,
-                        static_cast<std::uint64_t>(tid));
+        obs::instant(&stats_, tid, obs::trace_event::thread_register,
+                     static_cast<std::uint64_t>(tid));
     }
 
     /// Must be called on the owning thread when it is done. Idempotent: a
@@ -196,8 +196,8 @@ class record_manager {
                    "deinit_thread: tid was never registered");
             return;  // double deinit: idempotent by design
         }
-        obs::trace_emit(tid, obs::trace_event::thread_deregister,
-                        static_cast<std::uint64_t>(tid));
+        obs::instant(&stats_, tid, obs::trace_event::thread_deregister,
+                     static_cast<std::uint64_t>(tid));
         st.store(LIFE_PARKED, std::memory_order_relaxed);
         global_.deinit_thread(tid);
     }

@@ -7,10 +7,11 @@
 // add, no sharing) and the harness sums them after the trial.
 //
 // Stall attribution (schema v3): besides plain counters, debug_stats keeps
-// one duration histogram per (thread, stall_site). The known stall sites --
-// DEBRA+ neutralization recovery, HP/HE scan-and-free passes, limbo-bag
-// rotation, arena magazine refill/flush -- bracket themselves with a
-// stall_scope, so a p999 spike in the op-latency histograms can be
+// one duration histogram per (thread, stall_site). The timed events --
+// DEBRA+ neutralization recovery, HP/HE/IBR/DEBRA+ scan-and-free passes,
+// limbo-bag rotation, arena magazine refill/flush -- bracket themselves
+// with obs::timed (obs/event_ring.h), which files each duration under the
+// event's column, so a p999 spike in the op-latency histograms can be
 // attributed to a reclamation event instead of guessed at.
 #pragma once
 
@@ -72,7 +73,8 @@ inline constexpr std::array<std::string_view,
         "arena_remote_frees",     "arena_slabs",
 };
 
-/// Known stall sites, each bracketed with a stall_scope where it happens:
+/// The latency.stalls columns. Each timed event names its column in
+/// obs::event_table:
 ///   neutralize -- DEBRA+ recovery after a neutralization longjmp
 ///                 (accessor::run_guarded's recovery arm);
 ///   scan_free  -- scan-and-free passes: HP hazard scans, HE/IBR era
@@ -86,6 +88,19 @@ enum class stall_site : int { neutralize, scan_free, rotation, arena, COUNT };
 inline constexpr std::array<std::string_view,
                             static_cast<int>(stall_site::COUNT)>
     stall_site_names = {"neutralize", "scan_free", "rotation", "arena"};
+
+/// Every counter summed over threads at one instant: the harness's
+/// post-trial and phase-boundary harvests (debug_stats::totals).
+struct stat_totals {
+    std::array<std::uint64_t, static_cast<int>(stat::COUNT)> v{};
+
+    std::uint64_t operator[](stat s) const noexcept {
+        return v[static_cast<std::size_t>(s)];
+    }
+    std::uint64_t& operator[](stat s) noexcept {
+        return v[static_cast<std::size_t>(s)];
+    }
+};
 
 /// Per-thread counter matrix. Writes are relaxed single-writer; totals are
 /// only meaningful once the writing threads have quiesced (harness sums
@@ -110,10 +125,17 @@ class debug_stats {
         return sum;
     }
 
+    stat_totals totals() const noexcept {
+        stat_totals out;
+        for (int s = 0; s < static_cast<int>(stat::COUNT); ++s)
+            out.v[static_cast<std::size_t>(s)] = total(static_cast<stat>(s));
+        return out;
+    }
+
     /// Records one stall of `ns` nanoseconds at `site` (single writer per
     /// tid, like add()). The histogram doubles as the stall counter: its
     /// total count is the number of stall events.
-    // smr-lint: signal-safe (recovery-path root via stall_scope: delegates
+    // smr-lint: signal-safe (recovery-path root via obs::timed: delegates
     // to lat_hist::record on a preallocated histogram)
     void stall(int tid, stall_site site, std::uint64_t ns) noexcept {
         stalls_->cells[static_cast<std::size_t>(tid)]
@@ -159,31 +181,6 @@ class debug_stats {
     std::array<padded<cell>, MAX_THREADS> cells_{};
     std::unique_ptr<stall_matrix> stalls_ =
         std::make_unique<stall_matrix>();
-};
-
-/// RAII bracket for a stall site: times its scope with lat_clock and files
-/// the duration under (tid, site). A null stats pointer disables it.
-class stall_scope {
-  public:
-    stall_scope(debug_stats* stats, int tid, stall_site site) noexcept
-        : stats_(stats), tid_(tid), site_(site),
-          t0_(stats != nullptr ? lat_clock::now() : 0) {}
-
-    stall_scope(const stall_scope&) = delete;
-    stall_scope& operator=(const stall_scope&) = delete;
-
-    ~stall_scope() {
-        if (stats_ != nullptr) {
-            stats_->stall(tid_, site_,
-                          lat_clock::to_nanos(lat_clock::now() - t0_));
-        }
-    }
-
-  private:
-    debug_stats* stats_;
-    int tid_;
-    stall_site site_;
-    std::uint64_t t0_;
 };
 
 }  // namespace smr

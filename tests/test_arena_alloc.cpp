@@ -47,7 +47,9 @@ TEST(SizeClasses, TableIsAscendingAndIdempotent) {
         EXPECT_EQ(round_size(c), c);
         // ...and the table maps back to the same index.
         EXPECT_EQ(size_class_index(c), i);
-        if (i > 0) EXPECT_GT(c, size_class_bytes(i - 1));
+        if (i > 0) {
+            EXPECT_GT(c, size_class_bytes(i - 1));
+        }
     }
     // Fragmentation bound: a size rounds up by at most 25%.
     for (std::size_t n = 129; n <= SIZE_CLASS_MAX; n += 7) {

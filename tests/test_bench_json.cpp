@@ -92,7 +92,7 @@ harness::json sample_document() {
     r.prefill_size = 500;
     r.final_size = 500;
     r.expected_final_size = 500;
-    r.records_retired = 200;
+    r.counters[stat::records_retired] = 200;
     r.limbo_records = 17;
     r.phase_ops = {600, 400};
 

@@ -1,5 +1,5 @@
 // Tests for the block-structured bag (src/mem/blockbag.h), including the
-// head-block invariant and the DEBRA+ partition/iteration support.
+// head-block invariant and take_unkept, the scan-and-free partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,90 +135,109 @@ TEST_F(BlockbagTest, AddAndPopFullBlock) {
     pool_.release(blk);
 }
 
-TEST_F(BlockbagTest, IterationVisitsEveryRecord) {
-    blockbag<rec, B> bag(pool_);
-    auto recs = make_recs(2 * B + 3);
-    std::set<rec*> expected;
-    for (auto& r : recs) {
-        bag.add(&r);
-        expected.insert(&r);
+// ---- take_unkept: the scan-and-free partition ----------------------------
+
+/// Where every record ended up: drain_values empties a bag, chain_values
+/// a shed chain (releasing its blocks), each into a multiset of values.
+template <int B>
+std::multiset<long> drain_values(blockbag<rec, B>& bag) {
+    std::multiset<long> v;
+    while (rec* p = bag.remove()) v.insert(p->v);
+    return v;
+}
+template <int B>
+std::multiset<long> chain_values(block_chain<rec, B>& chain,
+                                 block_pool<rec, B>& pool) {
+    std::multiset<long> v;
+    for (auto* b = chain.head; b != nullptr;) {
+        EXPECT_TRUE(b->full());  // only full blocks are ever shed
+        for (int i = 0; i < b->size; ++i) v.insert(b->entries[i]->v);
+        if (b->next_relaxed() == nullptr) {
+            EXPECT_EQ(b, chain.tail);
+        }
+        auto* next = b->next_relaxed();
+        b->size = 0;
+        pool.release(b);
+        b = next;
     }
-    std::set<rec*> seen;
-    for (auto it = bag.begin(); it != bag.end(); ++it) {
-        EXPECT_TRUE(seen.insert(*it).second);
-    }
-    EXPECT_EQ(seen, expected);
+    return v;
 }
 
-TEST_F(BlockbagTest, IterationOnEmptyBag) {
-    blockbag<rec, B> bag(pool_);
-    EXPECT_EQ(bag.begin(), bag.end());
-}
-
-TEST_F(BlockbagTest, SwapEntriesExchangesRecords) {
-    blockbag<rec, B> bag(pool_);
-    auto recs = make_recs(B + 2);
-    for (auto& r : recs) bag.add(&r);
-    auto it1 = bag.begin();
-    auto it2 = bag.begin();
-    ++it2;
-    rec* a = *it1;
-    rec* b = *it2;
-    swap_entries(it1, it2);
-    EXPECT_EQ(*it1, b);
-    EXPECT_EQ(*it2, a);
-}
-
-TEST_F(BlockbagTest, TakeBlocksAfterPartitionPoint) {
-    // The DEBRA+ rotate: partition "protected" records to the front, then
-    // shed every full block after the boundary.
+TEST_F(BlockbagTest, TakeUnkeptShedsRejectedBlocksAfterTheKeptPrefix) {
+    // The scan's common case: a few kept records, wherever they sit, move
+    // to the front, and every full block after them goes to the pool.
     blockbag<rec, B> bag(pool_);
     auto recs = make_recs(4 * B);
     for (auto& r : recs) bag.add(&r);
-    // Mark the first three records (wherever they sit) as protected by
-    // swapping them to the front, exactly like the rotate scan does.
-    auto it1 = bag.begin();
-    auto it2 = bag.begin();
-    int kept = 0;
-    for (; it1 != bag.end(); ++it1) {
-        if ((*it1)->v < 3) {  // pretend v<3 records are hazard-protected
-            swap_entries(it1, it2);
-            ++it2;
-            ++kept;
-        }
-    }
-    EXPECT_EQ(kept, 3);
-    const long long before = bag.size();
-    auto chain = bag.take_blocks_after(it2);
-    // Everything sheds except the blocks up to (and including) it2's block.
-    long long shed = 0;
-    for (auto* b = chain.head; b != nullptr; b = b->next_relaxed()) {
-        EXPECT_TRUE(b->full());
-        shed += b->size;
-        for (int i = 0; i < b->size; ++i) EXPECT_GE(b->entries[i]->v, 3);
-    }
-    EXPECT_EQ(bag.size() + shed, before);
-    // All protected records are still in the bag.
-    int still_protected = 0;
-    for (auto it = bag.begin(); it != bag.end(); ++it) {
-        if ((*it)->v < 3) ++still_protected;
-    }
-    EXPECT_EQ(still_protected, 3);
-    for (auto* b = chain.head; b != nullptr;) {
-        auto* next = b->next_relaxed();
-        b->size = 0;
-        pool_.release(b);
-        b = next;
+    std::multiset<long> asked;
+    auto chain = bag.take_unkept([&](rec* p) {
+        asked.insert(p->v);  // one call per record, every record
+        return p->v < 3;
+    });
+    std::multiset<long> all;
+    for (auto& r : recs) all.insert(r.v);
+    EXPECT_EQ(asked, all);
+    // The three kept records fill the first non-empty block but one slot,
+    // so that block stays and the three after it are shed.
+    EXPECT_EQ(chain.count, 3);
+    EXPECT_EQ(bag.size_in_blocks(), 2);  // empty head + the kept block
+    const auto shed = chain_values(chain, pool_);
+    for (long v : shed) EXPECT_GE(v, 3);
+    const auto kept = drain_values(bag);
+    EXPECT_EQ(kept.count(0) + kept.count(1) + kept.count(2), 3u);
+    EXPECT_EQ(kept.size() + shed.size(), all.size());
+}
+
+TEST_F(BlockbagTest, TakeUnkeptNothingKeptShedsEveryFullBlock) {
+    // Nothing kept: the boundary never leaves the first non-empty block,
+    // which must be shed too. With an empty head that block is a full one.
+    for (int head : {0, 2}) {
+        blockbag<rec, B> bag(pool_);
+        auto recs = make_recs(3 * B + head);
+        for (auto& r : recs) bag.add(&r);
+        auto chain = bag.take_unkept([](rec*) { return false; });
+        EXPECT_EQ(chain.count, 3) << "head=" << head;
+        EXPECT_EQ(bag.size_in_blocks(), 1) << "head=" << head;
+        EXPECT_EQ(bag.size(), head);  // the partial head block stays
+        EXPECT_EQ(chain_values(chain, pool_).size(),
+                  static_cast<std::size_t>(3 * B));
+        drain_values(bag);
     }
 }
 
-TEST_F(BlockbagTest, TakeBlocksAfterEndKeepsEverything) {
+TEST_F(BlockbagTest, TakeUnkeptEverythingKeptShedsNothing) {
+    for (int n : {0, 2 * B, 2 * B + 1}) {
+        blockbag<rec, B> bag(pool_);
+        auto recs = make_recs(n);
+        for (auto& r : recs) bag.add(&r);
+        int asked = 0;
+        auto chain = bag.take_unkept([&](rec*) {
+            ++asked;
+            return true;
+        });
+        EXPECT_EQ(asked, n);
+        EXPECT_TRUE(chain.empty()) << "n=" << n;
+        EXPECT_EQ(bag.size(), n);
+        EXPECT_EQ(drain_values(bag).size(), static_cast<std::size_t>(n));
+    }
+}
+
+TEST_F(BlockbagTest, TakeUnkeptKeptOnlyInTheHeadBlock) {
+    // The head holds the newest records; keep two of its three. The
+    // boundary stays in the head, so every full block is shed and the
+    // head keeps both kept records and the rejected one beside them.
     blockbag<rec, B> bag(pool_);
-    auto recs = make_recs(2 * B);
+    auto recs = make_recs(3 * B + 3);
     for (auto& r : recs) bag.add(&r);
-    auto chain = bag.take_blocks_after(bag.end());
-    EXPECT_TRUE(chain.empty());
-    EXPECT_EQ(bag.size(), 2 * B);
+    auto chain = bag.take_unkept(
+        [](rec* p) { return p->v == 3 * B || p->v == 3 * B + 2; });
+    EXPECT_EQ(chain.count, 3);
+    EXPECT_EQ(bag.size_in_blocks(), 1);
+    const auto shed = chain_values(chain, pool_);
+    EXPECT_EQ(shed.size(), static_cast<std::size_t>(3 * B));
+    for (long v : shed) EXPECT_LT(v, 3 * B);
+    EXPECT_EQ(drain_values(bag),
+              (std::multiset<long>{3 * B, 3 * B + 1, 3 * B + 2}));
 }
 
 // Property sweep: for many (adds, removes) interleavings the bag behaves

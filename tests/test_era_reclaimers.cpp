@@ -6,10 +6,12 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "reclaim/era/reclaimer_he.h"
 #include "reclaim/era/reclaimer_ibr.h"
+#include "reclaim/reclaimer_hp.h"
 #include "recordmgr/record_manager.h"
 
 namespace smr {
@@ -33,6 +35,16 @@ typename Mgr::config_t tight_config() {
 }
 
 // ---- traits ---------------------------------------------------------------
+
+// HP, HE and IBR share one retire-triggered scan bag; only the Global
+// (snapshot, keep test, scan counter) differs.
+template <class Scheme>
+constexpr bool uses_scan_bag = std::is_same_v<
+    typename Scheme::template per_type<rec, void, 4>,
+    reclaim::scan_bag<rec, void, 4, typename Scheme::global_state>>;
+static_assert(uses_scan_bag<reclaim::reclaim_hp> &&
+              uses_scan_bag<reclaim::reclaim_he> &&
+              uses_scan_bag<reclaim::reclaim_ibr>);
 
 TEST(ReclaimEra, TraitsHe) {
     EXPECT_STREQ(mgr_he::scheme_name, "he");

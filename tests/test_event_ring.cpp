@@ -1,6 +1,7 @@
 // Tests for the per-thread lock-free event rings (src/obs/event_ring.h):
 // record packing, drop-oldest accounting, the disabled-trace no-op path,
-// and the SPSC producer/consumer protocol under concurrency.
+// the SPSC producer/consumer protocol under concurrency, the one-call
+// instant() path, and the scan_free payload every scanning scheme sends.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +9,9 @@
 #include <vector>
 
 #include "obs/event_ring.h"
+#include "reclaim/reclaimer_debra_plus.h"
+#include "reclaim/reclaimer_hp.h"
+#include "recordmgr/record_manager.h"
 
 namespace smr {
 namespace {
@@ -198,8 +202,8 @@ TEST(EventTrace, EnableEmitDrainDisable) {
 }
 
 TEST(EventTrace, GlobalTraceEmitHelperRespectsDisabled) {
-    // The global is disabled by default in a fresh process; the helper is
-    // the fast path every subsystem calls unconditionally.
+    // The global is disabled by default in a fresh process; every
+    // instrumented site reaches it unconditionally.
     ASSERT_FALSE(obs::g_event_trace.enabled());
     obs::trace_emit(0, trace_event::limbo_rotation, 1, 2);  // no-op
     obs::g_event_trace.enable(2, 16);
@@ -208,6 +212,71 @@ TEST(EventTrace, GlobalTraceEmitHelperRespectsDisabled) {
     EXPECT_EQ(obs::g_event_trace.ring(1)->drain(&out), 1u);
     EXPECT_EQ(out[0].arg0, 5u);
     obs::g_event_trace.disable();
+}
+
+TEST(EventTrace, InstantBumpsTheEventCounterAndEmits) {
+    debug_stats stats;
+    obs::instant(&stats, 0, trace_event::epoch_advance, 7);  // tracing off
+    EXPECT_EQ(stats.total(stat::epochs_advanced), 1u);
+    obs::g_event_trace.enable(1, 16);
+    obs::instant(&stats, 0, trace_event::neutralize_sent, 3);
+    obs::instant(&stats, 0, trace_event::thread_register, 0);  // no counter
+    obs::instant(nullptr, 0, trace_event::epoch_advance, 9);   // no stats
+    std::vector<event_record> out;
+    EXPECT_EQ(obs::g_event_trace.ring(0)->drain(&out), 3u);
+    obs::g_event_trace.disable();
+    EXPECT_EQ(out[0].ev, trace_event::neutralize_sent);
+    EXPECT_EQ(out[0].arg0, 3u);
+    EXPECT_EQ(out[2].arg0, 9u);
+    EXPECT_EQ(stats.total(stat::neutralize_signals_sent), 1u);
+    EXPECT_EQ(stats.total(stat::epochs_advanced), 1u);
+}
+
+/// The a0 of every scan_free record one thread's retires produce.
+template <class Scheme>
+std::vector<std::uint64_t> scan_free_payloads(int retires) {
+    struct rec {
+        long v;
+    };
+    using mgr_t = record_manager<Scheme, alloc_malloc, pool_shared, rec>;
+    std::vector<event_record> out;
+    obs::g_event_trace.enable(1, 1 << 12);
+    {
+        mgr_t mgr(1);
+        mgr.init_thread(0);
+        for (int i = 0; i < retires; ++i) {
+            mgr.leave_qstate(0);
+            mgr.retire(0, mgr.template new_record<rec>(0));
+            mgr.enter_qstate(0);
+            if (i % 256 == 0) obs::g_event_trace.ring(0)->drain(&out);
+        }
+        mgr.deinit_thread(0);
+    }
+    obs::g_event_trace.ring(0)->drain(&out);
+    EXPECT_EQ(obs::g_event_trace.total_dropped(), 0u);
+    obs::g_event_trace.disable();
+    std::vector<std::uint64_t> a0;
+    for (const event_record& e : out) {
+        if (e.ev == trace_event::scan_free) a0.push_back(e.arg0);
+    }
+    return a0;
+}
+
+TEST(EventTrace, ScanFreePayloadIsBagSizeInRecords) {
+    // event_table documents scan_free's a0 as the bag size. A scan only
+    // runs on a bag holding at least one full block, so every payload in
+    // records is >= B (a payload in blocks reads 2 or 3).
+    const auto debra_plus =
+        scan_free_payloads<reclaim::reclaim_debra_plus>(20000);
+    const auto hp = scan_free_payloads<reclaim::reclaim_hp>(20000);
+    ASSERT_FALSE(debra_plus.empty());
+    ASSERT_FALSE(hp.empty());
+    for (std::uint64_t a0 : debra_plus) {
+        EXPECT_GE(a0, static_cast<std::uint64_t>(mem::DEFAULT_BLOCK_SIZE));
+    }
+    for (std::uint64_t a0 : hp) {
+        EXPECT_GE(a0, static_cast<std::uint64_t>(mem::DEFAULT_BLOCK_SIZE));
+    }
 }
 
 }  // namespace

@@ -86,9 +86,9 @@ TEST(Harness, MetricsHarvested) {
     cfg.key_range = 64;  // heavy churn on few keys -> retires + reuse
     cfg.trial_ms = 150;
     const auto res = harness::run_trial(bst, mgr, cfg);
-    EXPECT_GT(res.records_retired, 0u);
-    EXPECT_GT(res.records_allocated, 0u);
-    EXPECT_GT(res.epochs_advanced, 0u);
+    EXPECT_GT(res.counters[stat::records_retired], 0u);
+    EXPECT_GT(res.counters[stat::records_allocated], 0u);
+    EXPECT_GT(res.counters[stat::epochs_advanced], 0u);
     EXPECT_TRUE(res.size_invariant_holds());
 }
 
@@ -106,8 +106,8 @@ TEST(Harness, StallingStragglerUnderDebraPlus) {
     cfg.stall_ms = 20;
     const auto res = harness::run_trial(bst, mgr, cfg);
     EXPECT_TRUE(res.size_invariant_holds());
-    EXPECT_GT(res.neutralize_sent, 0u);
-    EXPECT_GT(res.records_pooled, 0u);
+    EXPECT_GT(res.counters[stat::neutralize_signals_sent], 0u);
+    EXPECT_GT(res.counters[stat::records_pooled], 0u);
 }
 
 TEST(Harness, StallingStragglerFreezesDebra) {
@@ -123,8 +123,9 @@ TEST(Harness, StallingStragglerFreezesDebra) {
     const auto res = harness::run_trial(bst, mgr, cfg);
     EXPECT_TRUE(res.size_invariant_holds());
     // Limbo retains (nearly) everything retired after the stall began.
-    EXPECT_GT(res.records_retired, 0u);
-    EXPECT_GT(res.limbo_records + static_cast<long long>(res.records_pooled),
+    EXPECT_GT(res.counters[stat::records_retired], 0u);
+    EXPECT_GT(res.limbo_records +
+                  static_cast<long long>(res.counters[stat::records_pooled]),
               0);
 }
 

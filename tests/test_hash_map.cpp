@@ -98,7 +98,7 @@ TYPED_TEST(HashMapScheme, ConcurrentContendedMixPreservesSize) {
     EXPECT_TRUE(r.size_invariant_holds())
         << "final=" << r.final_size << " expected=" << r.expected_final_size;
     EXPECT_GT(r.total_ops, 0);
-    EXPECT_GT(r.records_retired, 0u);
+    EXPECT_GT(r.counters[stat::records_retired], 0u);
 }
 
 TYPED_TEST(HashMapScheme, ChurnRecyclesNodesAcrossBuckets) {

@@ -16,6 +16,7 @@
 #include "ds_test_util.h"
 #include "harness/latency.h"
 #include "harness/workload.h"
+#include "obs/event_ring.h"
 #include "util/debug_stats.h"
 #include "util/latency_hist.h"
 #include "util/prng.h"
@@ -243,17 +244,23 @@ TEST(StallAttribution, DebugStatsAccumulatesPerSite) {
     EXPECT_EQ(stats.stall_summary(stall_site::rotation).count, 0u);
 }
 
-TEST(StallAttribution, StallScopeRecordsElapsedTime) {
+TEST(StallAttribution, TimedEventFilesItsColumn) {
     debug_stats stats;
     {
-        stall_scope scope(&stats, 0, stall_site::scan_free);
+        obs::timed scope(&stats, 0, obs::trace_event::scan_free, 0, 0,
+                         stat::hp_scans);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     const lat_summary s = stats.stall_summary(stall_site::scan_free);
     ASSERT_EQ(s.count, 1u);
     EXPECT_GE(s.max_ns, 1u * 1000 * 1000);  // slept >= ~2ms
+    EXPECT_EQ(stats.total(stat::hp_scans), 1u);
+    // The column is the event's: a recovery files under neutralize.
+    { obs::timed recovery(&stats, 0, obs::trace_event::neutralize_recovery); }
+    EXPECT_EQ(stats.stall_summary(stall_site::neutralize).count, 1u);
+    EXPECT_EQ(stats.stall_summary(stall_site::scan_free).count, 1u);
     // Null stats: the scope is inert (the reclaimers' stats_ may be null).
-    { stall_scope inert(nullptr, 0, stall_site::scan_free); }
+    { obs::timed inert(nullptr, 0, obs::trace_event::scan_free); }
 }
 
 // ---- end-to-end through the harness ----------------------------------------

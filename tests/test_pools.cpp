@@ -1,8 +1,7 @@
-// Tests for the Pool policies (src/pool/): pass-through, discarding, and
-// the paper's per-thread + shared object pool -- including the NUMA-
-// sharded shared tier (blocks return to their home shard, steals prefer
-// the local shard, and the steal/remote counters surface through
-// debug_stats).
+// Tests for the Pool policies (src/pool/): discarding and the paper's
+// per-thread + shared object pool -- including the NUMA-sharded shared
+// tier (blocks return to their home shard, steals prefer the local shard,
+// and the steal/remote counters surface through debug_stats).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,7 +12,6 @@
 #include "alloc/allocator_new.h"
 #include "mem/block_pool.h"
 #include "pool/pool_discard.h"
-#include "pool/pool_none.h"
 #include "pool/pool_perthread_shared.h"
 #include "topo/topology.h"
 #include "util/debug_stats.h"
@@ -44,28 +42,6 @@ mem::block_chain<rec, B> make_chain(mem::block_pool<rec, B>& bp, Alloc& alloc,
         ++c.count;
     }
     return c;
-}
-
-TEST(PoolNone, ReleaseFreesImmediately) {
-    debug_stats stats;
-    alloc::allocator_new<rec> alloc(1, &stats);
-    mem::block_pool_array<rec, B> bps(1, &stats);
-    pool_none<rec, alloc::allocator_new<rec>, B> p(1, alloc, bps, &stats);
-    rec* r = p.allocate(0);
-    p.release(0, r);
-    EXPECT_EQ(stats.total(stat::records_freed), 1u);
-    EXPECT_EQ(stats.total(stat::records_pooled), 1u);
-}
-
-TEST(PoolNone, AcceptChainFreesRecordsRecyclesBlocks) {
-    debug_stats stats;
-    alloc::allocator_new<rec> alloc(1, &stats);
-    mem::block_pool_array<rec, B> bps(1, &stats);
-    pool_none<rec, alloc::allocator_new<rec>, B> p(1, alloc, bps, &stats);
-    auto chain = make_chain<decltype(p)>(bps[0], alloc, 3);
-    p.accept_chain(0, chain);
-    EXPECT_EQ(stats.total(stat::records_freed), 3u * B);
-    EXPECT_EQ(bps[0].cached(), 3);  // block storage recycled, not freed
 }
 
 TEST(PoolDiscard, ReleaseDropsRecordsKeepsCounting) {

@@ -12,8 +12,8 @@ struct rec {
     long v;
 };
 
-using mgr_none = record_manager<reclaim::reclaim_none, alloc_malloc,
-                                pool_passthrough, rec>;
+using mgr_none =
+    record_manager<reclaim::reclaim_none, alloc_malloc, pool_shared, rec>;
 using mgr_imm = record_manager<reclaim::reclaim_immediate, alloc_malloc,
                                pool_shared, rec>;
 

@@ -55,8 +55,6 @@ void exercise_scheme() {
     exercise_manager<
         record_manager<Scheme, alloc_malloc, pool_shared, small_rec, big_rec>>();
     exercise_manager<
-        record_manager<Scheme, alloc_malloc, pool_passthrough, small_rec, big_rec>>();
-    exercise_manager<
         record_manager<Scheme, alloc_bump, pool_discarding, small_rec, big_rec>>();
     exercise_manager<
         record_manager<Scheme, alloc_bump, pool_shared, small_rec, big_rec>>();
@@ -203,8 +201,7 @@ TEST(RecordManager, NewRecordPlacementConstructs) {
         ctor_rec() : a(11), b(22) {}
         explicit ctor_rec(long x) : a(x), b(-x) {}
     };
-    record_manager<reclaim::reclaim_none, alloc_malloc, pool_passthrough,
-                   ctor_rec>
+    record_manager<reclaim::reclaim_none, alloc_malloc, pool_shared, ctor_rec>
         mgr(1);
     mgr.init_thread(0);
     auto* d = mgr.new_record<ctor_rec>(0);

@@ -408,8 +408,9 @@ TEST(ServeTrial, PhasedServeTrialHarvestsEveryPhaseBoundary) {
         EXPECT_EQ(m.phase, static_cast<int>(i % 2)) << "entry " << i;
         if (i > 0) {
             EXPECT_GE(m.at_ms, res.phase_metrics[i - 1].at_ms);
-            EXPECT_GE(m.records_retired,
-                      res.phase_metrics[i - 1].records_retired);
+            const harness::phase_metric& prev = res.phase_metrics[i - 1];
+            EXPECT_GE(m.counters[stat::records_retired],
+                      prev.counters[stat::records_retired]);
         }
         lat_samples += m.lat_samples;
     }
