@@ -1,11 +1,10 @@
 // tsan_annotate.h -- make uninstrumented synchronization visible to TSan.
 //
-// GCC lowers 16-byte atomics (shared_blockbag's tagged head, the BST's
-// double-word update fields) to libatomic __atomic_*_16 libcalls, which
-// ThreadSanitizer does not instrument: the release/acquire edge those
-// operations carry is real on the hardware but invisible to the detector,
-// so everything ordered only by such an edge is reported as racing
-// (DESIGN.md Section 11.2).
+// GCC lowers 16-byte atomics (shared_blockbag's tagged head) to libatomic
+// __atomic_*_16 libcalls, which ThreadSanitizer does not instrument: the
+// release/acquire edge those operations carry is real on the hardware but
+// invisible to the detector, so everything ordered only by such an edge
+// is reported as racing (DESIGN.md Section 11.2).
 //
 // These helpers republish the edge through TSan's annotation interface:
 // the releasing side calls tsan_release(addr) before its (real) publishing

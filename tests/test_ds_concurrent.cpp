@@ -6,12 +6,15 @@
 // above the core count are intentional (the paper's oversubscription
 // regime).
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "ds_test_util.h"
+#include "sanitizer_util.h"
 #include "util/barrier.h"
 
 namespace smr {
@@ -24,6 +27,18 @@ struct stress_cfg {
     int threads = 4;
     int ops_per_thread = 8000;
     key_t key_range = 64;
+};
+
+/// Base of the typed suites: the 'none' scheme leaks every retired record
+/// by design, so its cells skip when LeakSanitizer is watching.
+template <class Scheme>
+class SchemeStress : public ::testing::Test {
+  protected:
+    void SetUp() override {
+        if (testutil::skip_leaky_cell<Scheme>()) {
+            GTEST_SKIP() << "'none' leaks by design";
+        }
+    }
 };
 
 /// Runs the mixed workload; returns net keys added (sum over threads).
@@ -63,7 +78,7 @@ long long run_stress(DS& ds, Mgr& mgr, const stress_cfg& cfg) {
 // ---- list ------------------------------------------------------------------
 
 template <class Scheme>
-class ListStress : public ::testing::Test {};
+class ListStress : public SchemeStress<Scheme> {};
 using ListSchemes = ::testing::Types<reclaim::reclaim_none,
                                      reclaim::reclaim_debra,
                                      reclaim::reclaim_ebr, reclaim::reclaim_hp>;
@@ -81,7 +96,7 @@ TYPED_TEST(ListStress, MixedWorkloadSizeInvariant) {
 // ---- BST (including DEBRA+) --------------------------------------------------
 
 template <class Scheme>
-class BstStress : public ::testing::Test {};
+class BstStress : public SchemeStress<Scheme> {};
 using BstSchemes =
     ::testing::Types<reclaim::reclaim_none, reclaim::reclaim_debra,
                      reclaim::reclaim_ebr, reclaim::reclaim_debra_plus,
@@ -125,7 +140,7 @@ TYPED_TEST(BstStress, OversubscribedThreads) {
 // ---- skip list ------------------------------------------------------------------
 
 template <class Scheme>
-class SkipStress : public ::testing::Test {};
+class SkipStress : public SchemeStress<Scheme> {};
 using SkipSchemes = ::testing::Types<reclaim::reclaim_none,
                                      reclaim::reclaim_debra,
                                      reclaim::reclaim_ebr, reclaim::reclaim_hp>;
@@ -218,6 +233,92 @@ TYPED_TEST(BstStress, DisjointKeysNeverInterfere) {
     for (auto& w : workers) w.join();
     EXPECT_FALSE(failed.load());
     EXPECT_EQ(bst.size_slow(), 0);
+}
+
+// ---- BST under a DEBRA+ neutralization storm ------------------------------
+
+TEST(BstNeutralizationStorm, EveryRecoveryKeepsTheSetExact) {
+    // The scheme's own suspect signals rarely land inside an update, so
+    // the recovery decisions (did the flag CAS land? did a helper finish
+    // the operation?) would go untested. Here the test thread signals a
+    // random worker once per two completed operations until 2,000
+    // signals have landed mid-operation. The pacing follows progress,
+    // not time: a fixed-rate storm can stop all progress.
+    using mgr_t = testutil::bst_mgr<reclaim::reclaim_debra_plus>;
+    constexpr int THREADS = 4;
+    constexpr key_t KEYS = 16;
+    constexpr std::uint64_t RECOVERIES = 2000;
+    mgr_t mgr(THREADS, testutil::fast_config<mgr_t>());
+    ds::ellen_bst<key_t, val_t, mgr_t> bst(mgr);
+
+    std::atomic<bool> stop{false};
+    std::atomic<long long> completed{0};
+    std::vector<long long> net(THREADS, 0);
+    std::vector<pthread_t> ids(THREADS);
+    spin_barrier ready(THREADS + 1);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < THREADS; ++t) {
+        workers.emplace_back([&, t] {
+            auto handle = mgr.register_thread(t);
+            auto acc = mgr.access(handle);
+            ids[static_cast<std::size_t>(t)] = pthread_self();
+            prng rng(7000 + static_cast<std::uint64_t>(t));
+            ready.arrive_and_wait();
+            long long mine = 0;
+            while (!stop.load(std::memory_order_acquire)) {
+                const key_t k = static_cast<key_t>(
+                    rng.next(static_cast<std::uint64_t>(KEYS)));
+                const auto dice = rng.next(100);
+                if (dice < 40) {
+                    if (bst.insert(acc, k, k)) ++mine;
+                } else if (dice < 80) {
+                    if (bst.erase(acc, k).has_value()) --mine;
+                } else {
+                    (void)bst.contains(acc, k);
+                }
+                completed.fetch_add(1, std::memory_order_relaxed);
+            }
+            net[static_cast<std::size_t>(t)] = mine;
+        });
+    }
+
+    ready.arrive_and_wait();
+    prng pick(42);
+    const auto cap =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    bool capped = false;
+    long long signalled_at = 0;
+    while (mgr.stats().total(stat::neutralize_signals_received) <
+           RECOVERIES) {
+        if (std::chrono::steady_clock::now() > cap) {
+            capped = true;
+            break;
+        }
+        const long long now = completed.load(std::memory_order_relaxed);
+        if (now - signalled_at < 2) {
+            std::this_thread::yield();
+            continue;
+        }
+        signalled_at = now;
+        pthread_kill(ids[static_cast<std::size_t>(pick.next(THREADS))],
+                     reclaim::NEUTRALIZE_SIGNAL);
+    }
+    // The storm ends before any worker leaves its loop, so no signal can
+    // reach a thread that has deregistered or exited.
+    stop.store(true, std::memory_order_release);
+    for (auto& w : workers) w.join();
+
+    EXPECT_FALSE(capped) << "fewer than " << RECOVERIES
+                         << " recoveries within 20 s";
+    const std::uint64_t landed =
+        mgr.stats().total(stat::neutralize_signals_received);
+    EXPECT_GE(landed, RECOVERIES);
+    // Every signal that lands mid-operation runs exactly one recovery.
+    EXPECT_EQ(mgr.stats().stall_summary(stall_site::neutralize).count, landed);
+    long long total = 0;
+    for (long long n : net) total += n;
+    EXPECT_EQ(bst.size_slow(), total);
+    EXPECT_TRUE(bst.validate_structure());
 }
 
 }  // namespace

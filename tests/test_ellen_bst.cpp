@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ds_test_util.h"
+#include "sanitizer_util.h"
 
 namespace smr {
 namespace {
@@ -23,6 +24,12 @@ class EllenBstTyped : public ::testing::Test {
     EllenBstTyped()
         : mgr_(2, testutil::fast_config<mgr_t>()), bst_(mgr_),
           h0_(mgr_.register_thread(0)) {}
+
+    void SetUp() override {
+        if (testutil::skip_leaky_cell<Scheme>()) {
+            GTEST_SKIP() << "'none' leaks by design";
+        }
+    }
 
     typename mgr_t::accessor_t acc() { return mgr_.access(h0_); }
 

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
@@ -32,7 +33,7 @@ namespace smr {
 namespace {
 
 using testutil::fast_config;
-using testutil::kLeakChecked;
+using testutil::skip_leaky_cell;
 using testutil::key_t;
 using testutil::val_t;
 
@@ -44,11 +45,6 @@ using AllSchemes =
 template <class Scheme>
 class RangeQueryTyped : public ::testing::Test {};
 TYPED_TEST_SUITE(RangeQueryTyped, AllSchemes);
-
-template <class Scheme>
-bool skip_leaky_cell() {
-    return kLeakChecked && std::string_view(Scheme::name) == "none";
-}
 
 /// Collects visited pairs into preallocated buffers via relaxed atomics
 /// (neutralization-safe: no allocation, no non-reentrant effects).
@@ -191,12 +187,17 @@ TYPED_TEST(RangeQueryTyped, HashMapModelCheck) {
 /// Two churners mutate [0, key_range); one scanner loops range queries
 /// over the middle half, asserting strictly ascending in-range keys per
 /// scan. Under ASan this doubles as the protected-node-reclamation probe.
+/// The run lasts at least 80 ms and until both churners have made
+/// CHURN_OPS operations and the scanner has delivered a key, so starved
+/// churners cannot leave the scanner an empty range; a 60 s cap fails.
 template <class Mgr, class DS>
 void churn_scan(Mgr& mgr, DS& ds, long long key_range) {
     constexpr int CHURNERS = 2;
+    constexpr long long CHURN_OPS = 1000;
     const key_t lo = static_cast<key_t>(key_range / 4);
     const key_t hi = static_cast<key_t>(3 * key_range / 4);
     std::atomic<bool> stop{false};
+    std::atomic<long long> churned[CHURNERS] = {};
     std::atomic<long long> scans{0};
     std::atomic<long long> keys_seen{0};
     std::atomic<bool> order_ok{true};
@@ -215,6 +216,7 @@ void churn_scan(Mgr& mgr, DS& ds, long long key_range) {
                 } else {
                     ds.erase(acc, k);
                 }
+                churned[t].fetch_add(1, std::memory_order_relaxed);
             }
         });
     }
@@ -244,6 +246,18 @@ void churn_scan(Mgr& mgr, DS& ds, long long key_range) {
     });
 
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    const auto progressed = [&] {
+        for (const auto& c : churned) {
+            if (c.load(std::memory_order_relaxed) < CHURN_OPS) return false;
+        }
+        return keys_seen.load(std::memory_order_relaxed) > 0;
+    };
+    const auto cap =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!progressed() && std::chrono::steady_clock::now() < cap) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(progressed()) << "no churn or scan progress within 60 s";
     stop.store(true, std::memory_order_release);
     for (auto& th : threads) th.join();
 

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,7 +34,7 @@ namespace smr {
 namespace {
 
 using testutil::fast_config;
-using testutil::kLeakChecked;
+using testutil::skip_leaky_cell;
 using testutil::key_t;
 using testutil::val_t;
 
@@ -49,13 +48,6 @@ using AllSchemes =
 template <class Scheme>
 class SchemeMatrix : public ::testing::Test {};
 TYPED_TEST_SUITE(SchemeMatrix, AllSchemes);
-
-/// The 'none' scheme leaks every retired record by design; skip its cells
-/// when LeakSanitizer is watching.
-template <class Scheme>
-bool skip_leaky_cell() {
-    return kLeakChecked && std::string_view(Scheme::name) == "none";
-}
 
 /// Bounded-limbo predicate: schemes that reclaim by reservation scan
 /// expose a scan threshold; after a trial their limbo must respect it.
