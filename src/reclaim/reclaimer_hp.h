@@ -63,7 +63,7 @@ class hp_global {
     ~hp_global() {
         for (int t = 0; t < MAX_THREADS; ++t) {
             slot_chunk* c =
-                rows_[t]->next.load(std::memory_order_relaxed);
+                rows_[t]->head.next.load(std::memory_order_relaxed);
             while (c != nullptr) {
                 slot_chunk* nx = c->next.load(std::memory_order_relaxed);
                 delete c;
@@ -95,63 +95,46 @@ class hp_global {
     /// fresh chunk (grow-on-demand: only bulk spans ever reach this).
     template <class ValidateFn>
     bool protect(int tid, const void* p, ValidateFn&& validate) {
-        std::atomic<const void*>* slot = nullptr;
-        slot_chunk* chunk = &*rows_[tid];
-        for (;;) {
-            for (int i = 0; i < K; ++i) {
-                if (chunk->v[static_cast<std::size_t>(i)].load(
-                        std::memory_order_relaxed) == nullptr) {
-                    slot = &chunk->v[static_cast<std::size_t>(i)];
-                    break;
-                }
-            }
-            if (slot != nullptr) break;
-            slot_chunk* link = chunk->next.load(std::memory_order_relaxed);
-            if (link == nullptr) {
-                // Owner-only append. seq_cst publish so the standard HP
-                // scan argument covers chained slots: the publish
-                // precedes the announcement in the seq_cst total order,
-                // so a scan ordered after a successful validation's
-                // unlink observes the chunk (and hence the slot).
-                link = new slot_chunk;
-                chunk->next.store(link, std::memory_order_seq_cst);
-                total_slots_.fetch_add(K, std::memory_order_relaxed);
-            }
-            chunk = link;
-        }
+        slot_row& r = *rows_[tid];
+        int i = r.hint;
+        while (i < r.top &&
+               slot_at(r, i).load(std::memory_order_relaxed) != nullptr)
+            ++i;
+        if (i == r.cap) append_chunk(r);
+        std::atomic<const void*>& slot = slot_at(r, i);
         // seq_cst store doubles as the announcement fence (paper: "a memory
         // barrier must be issued immediately after a HP is announced").
-        slot->store(p, std::memory_order_seq_cst);
+        slot.store(p, std::memory_order_seq_cst);
         if (!validate()) {
-            slot->store(nullptr, std::memory_order_release);
+            slot.store(nullptr, std::memory_order_release);
             if (stats_) stats_->add(tid, stat::hp_validation_failures);
             return false;
         }
+        r.hint = i + 1;
+        if (i >= r.top) r.top = i + 1;
         return true;
     }
 
+    /// Releases the newest slot holding p. The search runs down from
+    /// `top`, so a newest-first release (guard_span::reset) finds its slot
+    /// at once and lowers `top` by one.
     void unprotect(int tid, const void* p) noexcept {
-        for (slot_chunk* c = &*rows_[tid]; c != nullptr;
-             c = c->next.load(std::memory_order_relaxed)) {
-            for (int i = 0; i < K; ++i) {
-                auto& s = c->v[static_cast<std::size_t>(i)];
-                if (s.load(std::memory_order_relaxed) == p) {
-                    s.store(nullptr, std::memory_order_release);
-                    return;
-                }
+        slot_row& r = *rows_[tid];
+        for (int i = r.top; i-- > 0;) {
+            std::atomic<const void*>& s = slot_at(r, i);
+            if (s.load(std::memory_order_relaxed) == p) {
+                s.store(nullptr, std::memory_order_release);
+                if (i < r.hint) r.hint = i;
+                if (i + 1 == r.top) r.top = i;
+                return;
             }
         }
     }
 
     bool is_protected(int tid, const void* p) const noexcept {
-        for (const slot_chunk* c = &*rows_[tid]; c != nullptr;
-             c = c->next.load(std::memory_order_relaxed)) {
-            for (int i = 0; i < K; ++i) {
-                if (c->v[static_cast<std::size_t>(i)].load(
-                        std::memory_order_relaxed) == p) {
-                    return true;
-                }
-            }
+        const slot_row& r = *rows_[tid];
+        for (int i = 0; i < r.top; ++i) {
+            if (slot_at(r, i).load(std::memory_order_relaxed) == p) return true;
         }
         return false;
     }
@@ -163,10 +146,10 @@ class hp_global {
     bool is_rprotected(int, const void*) const noexcept { return false; }
 
     /// Scanner side: hash every announced slot across all threads' chains
-    /// (seq_cst chain loads match the seq_cst publish -- see protect()).
+    /// (seq_cst chain loads match the seq_cst publish -- see append_chunk()).
     void collect_hazards(mem::ptr_hashset& out) const {
         for (int t = 0; t < num_threads_; ++t) {
-            for (const slot_chunk* c = &*rows_[t]; c != nullptr;
+            for (const slot_chunk* c = &rows_[t]->head; c != nullptr;
                  c = c->next.load(std::memory_order_seq_cst)) {
                 for (int i = 0; i < K; ++i) {
                     out.insert(c->v[static_cast<std::size_t>(i)].load(
@@ -210,7 +193,8 @@ class hp_global {
 
   private:
     /// One chunk of a thread's hazard-slot chain. Only the owning thread
-    /// appends; `next` is written once (release) and read with acquire.
+    /// appends; `next` is published once with a seq_cst store and scanners
+    /// load it seq_cst (see append_chunk and collect_hazards).
     struct slot_chunk {
         // const void*: announcement slots only ever compare and hash; the
         // const_cast that used to launder retire-side pointers is gone.
@@ -218,22 +202,60 @@ class hp_global {
         std::atomic<slot_chunk*> next{nullptr};
     };
 
+    /// A thread's slot row: its first chunk, plus the owner's private view
+    /// of the whole chain, which makes acquire and release O(1) in the
+    /// common shapes instead of a scan from slot 0. protect takes the
+    /// first free slot at or above `hint`; unprotect searches down from
+    /// `top` (guard_span releases newest first, and a hand-over-hand
+    /// traversal's oldest guard sits a few slots below `top`); the bulk
+    /// clears stop at `top`. Only the owner reads or writes the view, so
+    /// it is plain ints; scanners read every slot of every chunk instead.
+    struct slot_row {
+        int top = 0;   // every slot at index >= top is null
+        int hint = 0;  // no free slot below hint (hint <= top <= cap)
+        int cap = K;   // slots in the chain
+        slot_chunk head;
+    };
+
+    /// Slot i of a row's chain (walks i / K links; owner-only, so the
+    /// links it follows are its own writes).
+    template <class Row>
+    static auto slot_at(Row& r, int i) noexcept -> decltype(r.head.v[0]) {
+        auto* c = &r.head;
+        for (; i >= K; i -= K) c = c->next.load(std::memory_order_relaxed);
+        return c->v[static_cast<std::size_t>(i)];
+    }
+
     void clear_all(int tid) noexcept {
-        for (slot_chunk* c = &*rows_[tid]; c != nullptr;
-             c = c->next.load(std::memory_order_relaxed)) {
-            for (int i = 0; i < K; ++i) {
-                auto& s = c->v[static_cast<std::size_t>(i)];
-                if (s.load(std::memory_order_relaxed) != nullptr)
-                    s.store(nullptr, std::memory_order_release);
-            }
+        slot_row& r = *rows_[tid];
+        for (int i = 0; i < r.top; ++i) {
+            std::atomic<const void*>& s = slot_at(r, i);
+            if (s.load(std::memory_order_relaxed) != nullptr)
+                s.store(nullptr, std::memory_order_release);
         }
+        r.top = 0;
+        r.hint = 0;
+    }
+
+    /// Owner-only append, taken only when every slot of the row is held.
+    /// seq_cst publish so the standard HP scan argument covers chained
+    /// slots: the publish precedes the announcement in the seq_cst total
+    /// order, so a scan ordered after a successful validation's unlink
+    /// observes the chunk (and hence the slot).
+    [[gnu::cold, gnu::noinline]] void append_chunk(slot_row& r) {
+        slot_chunk* last = &r.head;
+        while (slot_chunk* nx = last->next.load(std::memory_order_relaxed))
+            last = nx;
+        last->next.store(new slot_chunk, std::memory_order_seq_cst);
+        r.cap += K;
+        total_slots_.fetch_add(K, std::memory_order_relaxed);
     }
 
     const int num_threads_;
     const config cfg_;
     debug_stats* stats_;
     std::atomic<long long> total_slots_{0};
-    std::array<padded<slot_chunk>, MAX_THREADS> rows_{};
+    std::array<padded<slot_row>, MAX_THREADS> rows_{};
 };
 
 }  // namespace detail

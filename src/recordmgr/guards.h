@@ -243,8 +243,10 @@ class guard_span {
     }
 
     /// Releases every protection this span holds, newest first. The
-    /// recording storage is kept for reuse (a restarting scan re-fills it
-    /// without reallocating).
+    /// order is what makes HP's release O(1): reclaimer_hp's unprotect
+    /// searches down from the top of the thread's slot row, where the
+    /// newest protection sits. The recording storage is kept for reuse (a
+    /// restarting scan re-fills it without reallocating).
     void reset() noexcept {
         const void** s = slots();
         for (std::size_t i = count_; i-- > 0;) {
