@@ -28,7 +28,6 @@ template <class T>
 class allocator_bump {
   public:
     using value_type = T;
-    static constexpr bool preallocates = true;
 
     /// Chunk size: large enough that chunk boundaries are rare, small enough
     /// that tests with many record types stay frugal.

@@ -20,7 +20,6 @@ template <class T>
 class allocator_new {
   public:
     using value_type = T;
-    static constexpr bool preallocates = false;
 
     allocator_new(int num_threads, debug_stats* stats)
         : num_threads_(num_threads), stats_(stats) {}

@@ -49,7 +49,6 @@ template <class T>
 class allocator_arena {
   public:
     using value_type = T;
-    static constexpr bool preallocates = true;
 
     /// Slab size doubles as slab alignment, so a record's slab header is
     /// one mask away.

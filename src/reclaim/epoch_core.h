@@ -1,5 +1,7 @@
 // epoch_core.h -- the epoch/announcement engine shared by classic EBR,
-// DEBRA, and DEBRA+.
+// DEBRA, and DEBRA+. It is DEBRA's and EBR's whole global state
+// (reclaimer_debra.h names it directly); DEBRA+ derives from it and adds
+// neutralization and recovery hazard pointers.
 //
 // One global epoch counter advances by 2 (the low bit of each announcement
 // word is that thread's quiescent bit, the paper's "minor optimization").
@@ -17,8 +19,8 @@
 // epoch (paper Section 4, "Minor optimizations").
 //
 // A `suspect` hook decides what to do with a thread that is non-quiescent
-// and behind the epoch: DEBRA returns false (wait for it; not fault
-// tolerant), DEBRA+ neutralizes it with a signal and returns true.
+// and behind the epoch: DEBRA's, the default, returns false (wait for it;
+// not fault tolerant), DEBRA+ neutralizes it with a signal and returns true.
 //
 // Ordering table (DESIGN.md Section 11.4):
 //   announce_[t]   seq_cst stores on the announce/quiesce edges, matching
@@ -92,12 +94,17 @@ class epoch_core {
         return &*announce_[tid];
     }
 
+    /// DEBRA's suspect rule: a non-quiescent laggard is waited for.
+    struct wait_for_laggard {
+        bool operator()(int) const noexcept { return false; }
+    };
+
     /// Paper Figure 4 leaveQstate. `rotate` runs when this thread's
     /// announcement changes (its oldest limbo bag became safe). `suspect` is
     /// consulted for a thread blocking the epoch; returning true treats it
     /// as quiescent. Returns true iff the announcement changed.
-    template <class RotateFn, class SuspectFn>
-    bool leave_qstate(int tid, RotateFn&& rotate, SuspectFn&& suspect) {
+    template <class RotateFn, class SuspectFn = wait_for_laggard>
+    bool leave_qstate(int tid, RotateFn&& rotate, SuspectFn&& suspect = {}) {
         local& L = *locals_[tid];
         const std::uint64_t read_epoch = epoch_.load(std::memory_order_acquire);
         const std::uint64_t ann = announce_[tid]->load(std::memory_order_relaxed);
@@ -120,7 +127,6 @@ class epoch_core {
     }
 
     int num_threads() const noexcept { return num_threads_; }
-    const epoch_config& config() const noexcept { return cfg_; }
 
   private:
     struct local {

@@ -72,8 +72,6 @@ class era_clock {
         }
     }
 
-    int era_freq() const noexcept { return era_freq_; }
-
   private:
     struct local {
         int retires_since_advance = 0;

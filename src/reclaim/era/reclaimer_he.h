@@ -81,21 +81,12 @@ class he_global {
         }
     }
 
-    void init_thread(int) noexcept {}
     void deinit_thread(int tid) noexcept { clear_all(tid); }
 
-    template <class RotateFn, class PressureFn>
-    bool leave_qstate(int, RotateFn&&, PressureFn&&) noexcept {
-        return false;  // no announcements; reclamation is retire-driven
-    }
-    /// End of operation: release every era reservation (as HPs clear all
+    /// Releases every era reservation: on traversal restarts, and at the
+    /// end of each operation, since HE tracks no quiescence and the record
+    /// manager's enter_qstate runs this instead (as HPs clear all
     /// announced slots).
-    void enter_qstate(int tid) noexcept { clear_all(tid); }
-    bool is_quiescent(int) const noexcept { return false; }
-
-    /// Dedicated mid-operation bulk release (traversal restarts, guard
-    /// layer); HE tracks no quiescence word, but the manager still routes
-    /// bulk clears here rather than through enter_qstate.
     void clear_hazards(int tid) noexcept { clear_all(tid); }
 
     /// Publish-or-alias, then validate on the publish path (see header
@@ -167,12 +158,6 @@ class he_global {
         return locals_[tid]->find(p) != nullptr;
     }
 
-    // HE provides no crash-recovery interface (as HPs: RProtect et al. are
-    // inert).
-    bool rprotect(int, const void*) noexcept { return true; }
-    void runprotect_all(int) noexcept {}
-    bool is_rprotected(int, const void*) const noexcept { return false; }
-
     // ---- era stamping (called by the record manager) ---------------------
 
     template <class Rec>
@@ -218,7 +203,6 @@ class he_global {
         return 2LL * num_threads_ * K + cfg_.scan_slack_records;
     }
     const era_clock& clock() const noexcept { return clock_; }
-    int num_threads() const noexcept { return num_threads_; }
 
   private:
     struct entry {

@@ -66,15 +66,15 @@ class ibr_global {
         }
     }
 
-    void init_thread(int) noexcept {}
     void deinit_thread(int tid) noexcept { enter_qstate(tid); }
 
     /// Start of operation: reserve [e, e]. Upper is published before lower
     /// because lower doubles as the active flag -- a scanner that reads
     /// lower == e is thereby guaranteed (seq_cst total order) to read an
-    /// upper >= e, never a torn smaller interval.
-    template <class RotateFn, class PressureFn>
-    bool leave_qstate(int tid, RotateFn&&, PressureFn&&) noexcept {
+    /// upper >= e, never a torn smaller interval. Reclamation is
+    /// retire-driven, so the manager's rotation closure goes unused.
+    template <class RotateFn>
+    bool leave_qstate(int tid, RotateFn&&) noexcept {
         reservation& r = *res_[tid];
         const std::uint64_t e = clock_.current();
         r.upper.store(e, std::memory_order_seq_cst);
@@ -135,10 +135,6 @@ class ibr_global {
         return !is_quiescent(tid);
     }
 
-    bool rprotect(int, const void*) noexcept { return true; }
-    void runprotect_all(int) noexcept {}
-    bool is_rprotected(int, const void*) const noexcept { return false; }
-
     // ---- era stamping (called by the record manager) ---------------------
 
     template <class Rec>
@@ -194,7 +190,6 @@ class ibr_global {
         return 2LL * num_threads_ * cfg_.era_freq + cfg_.scan_slack_records;
     }
     const era_clock& clock() const noexcept { return clock_; }
-    int num_threads() const noexcept { return num_threads_; }
 
   private:
     struct reservation {

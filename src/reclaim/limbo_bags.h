@@ -6,8 +6,9 @@
 // have now survived two epoch changes, hence a full grace period -- becomes
 // the new current bag, and its full blocks move wholesale to the pool.
 //
-// Used verbatim by DEBRA and classic EBR. DEBRA+ subclasses the rotation
-// with the hazard-pointer partition scan (see reclaimer_debra_plus.h).
+// DEBRA's and classic EBR's per-type component, used verbatim. DEBRA+
+// subclasses the rotation with the hazard-pointer partition scan (see
+// reclaimer_debra_plus.h).
 #pragma once
 
 #include <array>
@@ -19,6 +20,7 @@
 #include "../obs/event_ring.h"
 #include "../util/debug_stats.h"
 #include "../util/padded.h"
+#include "epoch_core.h"
 
 namespace smr::reclaim {
 
@@ -27,7 +29,9 @@ class limbo_bags {
   public:
     using bag_t = mem::blockbag<T, B>;
 
-    limbo_bags(int num_threads, Pool& pool,
+    /// The epoch engine drives the rotations from outside (the record
+    /// manager's leave_qstate); the bags themselves never read it.
+    limbo_bags(int num_threads, const epoch_core&, Pool& pool,
                mem::block_pool_array<T, B>& bpools, debug_stats* stats)
         : num_threads_(num_threads), pool_(pool), stats_(stats) {
         states_.reserve(static_cast<std::size_t>(num_threads));
@@ -84,8 +88,6 @@ class limbo_bags {
         for (int t = 0; t < num_threads_; ++t) sum += limbo_size(t);
         return sum;
     }
-
-    bag_t& current_bag(int tid) { return states_[tid]->current(); }
 
   protected:
     struct tstate {

@@ -19,10 +19,11 @@
 // calls siglongjmp -- both permitted in signal context. It never allocates,
 // locks, or touches the bags.
 //
-// Contract for threads: register via arm()/disarm() around their lifetime,
-// and synchronize on a barrier after disarm() before thread exit, so that a
-// concurrent pthread_kill can never target a destroyed thread (disarmed
-// threads absorb stray signals harmlessly).
+// Contract for threads: register via arm()/disarm() around their lifetime
+// (disarmed threads absorb stray signals harmlessly). No barrier is needed
+// before thread exit: debra_plus_global::deinit_thread drains the thread's
+// signal gate before it disarms, so once it returns no pthread_kill can
+// still target the thread (see reclaimer_debra_plus.h).
 #pragma once
 
 #include <pthread.h>

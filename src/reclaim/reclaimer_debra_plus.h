@@ -56,25 +56,26 @@ struct debra_plus_config {
 
 namespace detail {
 
-class debra_plus_global {
+/// DEBRA's epoch engine plus neutralization and recovery hazard pointers.
+/// enter_qstate, is_quiescent, read_epoch and num_threads are epoch_core's
+/// own; leave_qstate passes it the neutralizing suspect rule.
+class debra_plus_global : public epoch_core {
   public:
     using config = debra_plus_config;
     static constexpr int RPROT_CAP = mem::RPROTECT_CAPACITY;
 
     debra_plus_global(int num_threads, const config& cfg, debug_stats* stats)
-        : cfg_(cfg), stats_(stats), core_(num_threads, cfg.epoch, stats) {
+        : epoch_core(num_threads, cfg.epoch, stats), cfg_(cfg), stats_(stats) {
         install_neutralize_handler();
         for (auto& t : targets_) t->active.store(false, std::memory_order_relaxed);
     }
-
-    ~debra_plus_global() = default;
 
     /// Must run on the thread itself (registers pthread_t and the
     /// thread-local signal context).
     void init_thread(int tid) {
         target& t = *targets_[tid];
         t.pthread = pthread_self();
-        t.ctx.announce = core_.announce_word(tid);
+        t.ctx.announce = announce_word(tid);
         t.ctx.stats = stats_;
         t.ctx.tid = tid;
         arm_neutralization(&t.ctx);
@@ -114,22 +115,14 @@ class debra_plus_global {
         pthread_sigmask(SIG_UNBLOCK, &set, nullptr);
     }
 
+    /// leaveQstate with the neutralizing suspect rule: `pressure` reports
+    /// this thread's fullest current limbo bag, in blocks.
     template <class RotateFn, class PressureFn>
     bool leave_qstate(int tid, RotateFn&& rotate, PressureFn&& pressure) {
-        return core_.leave_qstate(tid, rotate, [&](int other) {
+        return epoch_core::leave_qstate(tid, rotate, [&](int other) {
             return suspect_neutralized(tid, other, pressure);
         });
     }
-    void enter_qstate(int tid) noexcept { core_.enter_qstate(tid); }
-    bool is_quiescent(int tid) const noexcept { return core_.is_quiescent(tid); }
-    void clear_hazards(int) noexcept {}  // epoch protection: nothing per-access
-
-    template <class ValidateFn>
-    bool protect(int, const void*, ValidateFn&&) noexcept {
-        return true;  // epoch protection, as in DEBRA
-    }
-    void unprotect(int, const void*) noexcept {}
-    bool is_protected(int, const void*) const noexcept { return true; }
 
     // ---- recovery hazard pointers (paper Figure 6) ----------------------
     bool rprotect(int tid, const void* p) noexcept {
@@ -143,17 +136,15 @@ class debra_plus_global {
 
     /// Scanner side: hash every thread's RProtected slots into `out`.
     void collect_rprotected(mem::ptr_hashset& out) const {
-        for (int t = 0; t < core_.num_threads(); ++t)
+        for (int t = 0; t < num_threads(); ++t)
             for (int i = 0; i < RPROT_CAP; ++i)
                 out.insert(rprotected_[t]->read_slot(i));
     }
 
     std::size_t max_rprotected() const noexcept {
-        return static_cast<std::size_t>(core_.num_threads()) * RPROT_CAP;
+        return static_cast<std::size_t>(num_threads()) * RPROT_CAP;
     }
 
-    std::uint64_t read_epoch() const noexcept { return core_.read_epoch(); }
-    int num_threads() const noexcept { return core_.num_threads(); }
     const config& cfg() const noexcept { return cfg_; }
 
   private:
@@ -207,7 +198,6 @@ class debra_plus_global {
 
     const config cfg_;
     debug_stats* stats_;
-    epoch_core core_;
     std::array<padded<target>, MAX_THREADS> targets_;
     // arraystack<const void>: RProtect announcements are read-only
     // pointers end to end (scanners hash them, recovery compares them),
@@ -235,7 +225,7 @@ struct reclaim_debra_plus {
       public:
         per_type(int num_threads, global_state& global, Pool& pool,
                  mem::block_pool_array<T, B>& bpools, debug_stats* stats)
-            : base(num_threads, pool, bpools, stats), global_(global) {
+            : base(num_threads, global, pool, bpools, stats), global_(global) {
             scan_sets_.reserve(static_cast<std::size_t>(num_threads));
             for (int t = 0; t < num_threads; ++t)
                 scan_sets_.push_back(std::make_unique<mem::ptr_hashset>(

@@ -72,21 +72,12 @@ class hp_global {
         }
     }
 
-    void init_thread(int) noexcept {}
     void deinit_thread(int tid) noexcept { clear_all(tid); }
 
-    template <class RotateFn, class PressureFn>
-    bool leave_qstate(int, RotateFn&&, PressureFn&&) noexcept {
-        return false;  // HPs have no epochs; nothing to do per operation
-    }
-    /// End of operation: every hazard pointer is released (paper Section 6:
+    /// Releases every hazard pointer: on traversal restarts, and at the end
+    /// of each operation, since HPs track no quiescence and the record
+    /// manager's enter_qstate runs this instead (paper Section 6:
     /// "enterQstate clears all announced HPs").
-    void enter_qstate(int tid) noexcept { clear_all(tid); }
-    bool is_quiescent(int) const noexcept { return false; }
-
-    /// Dedicated mid-operation bulk release (traversal restarts, guard
-    /// layer): for HPs identical to enter_qstate, but kept separate so the
-    /// manager never has to announce quiescence just to drop hazards.
     void clear_hazards(int tid) noexcept { clear_all(tid); }
 
     /// Announce + fence + validate. On validation failure the slot is
@@ -139,12 +130,6 @@ class hp_global {
         return false;
     }
 
-    // HP provides no crash-recovery interface (paper Section 6: RProtect /
-    // RUnprotectAll do nothing, isRProtected returns false).
-    bool rprotect(int, const void*) noexcept { return true; }
-    void runprotect_all(int) noexcept {}
-    bool is_rprotected(int, const void*) const noexcept { return false; }
-
     /// Scanner side: hash every announced slot across all threads' chains
     /// (seq_cst chain loads match the seq_cst publish -- see append_chunk()).
     void collect_hazards(mem::ptr_hashset& out) const {
@@ -189,7 +174,6 @@ class hp_global {
         return 2 * total_slots_.load(std::memory_order_relaxed) +
                cfg_.scan_slack_records;
     }
-    int num_threads() const noexcept { return num_threads_; }
 
   private:
     /// One chunk of a thread's hazard-slot chain. Only the owning thread

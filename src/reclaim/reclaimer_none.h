@@ -1,63 +1,15 @@
-// reclaimer_none.h -- the "None" baseline and the unsafe immediate-free
-// scheme.
+// reclaimer_none.h -- the "None" baseline.
 //
 // `reclaim_none` performs no reclamation whatsoever: retire() drops the
 // record on the floor. This is the paper's "None" comparator -- the data
 // structure pays zero reclamation overhead and leaks every retired record
 // (experiments must be short or memory-bounded).
-//
-// `reclaim_immediate` frees a record the moment it is retired. This is the
-// paper's "unsafe reclamation" category: it is only correct when no other
-// thread can still hold a pointer to the record (single-threaded runs,
-// externally quiesced phases, tests). It exists so tests can exercise
-// allocator/pool plumbing deterministically.
 #pragma once
 
 #include "../mem/block_pool.h"
 #include "../util/debug_stats.h"
 
 namespace smr::reclaim {
-
-namespace detail {
-
-/// Shared trivial global state: everything is a no-op; protect succeeds
-/// without validation (no record is ever freed out from under a reader for
-/// `none`; for `immediate` the caller asserts external quiescence).
-class trivial_global {
-  public:
-    struct config {};
-    trivial_global(int num_threads, const config&, debug_stats*)
-        : num_threads_(num_threads) {}
-
-    void init_thread(int) noexcept {}
-    void deinit_thread(int) noexcept {}
-
-    template <class RotateFn, class PressureFn>
-    bool leave_qstate(int, RotateFn&&, PressureFn&&) noexcept {
-        return false;
-    }
-    void enter_qstate(int) noexcept {}
-    bool is_quiescent(int) const noexcept { return true; }
-    void clear_hazards(int) noexcept {}
-
-    template <class ValidateFn>
-    bool protect(int, const void*, ValidateFn&&) noexcept {
-        return true;
-    }
-    void unprotect(int, const void*) noexcept {}
-    bool is_protected(int, const void*) const noexcept { return true; }
-
-    bool rprotect(int, const void*) noexcept { return true; }
-    void runprotect_all(int) noexcept {}
-    bool is_rprotected(int, const void*) const noexcept { return false; }
-
-    int num_threads() const noexcept { return num_threads_; }
-
-  private:
-    const int num_threads_;
-};
-
-}  // namespace detail
 
 struct reclaim_none {
     static constexpr const char* name = "none";
@@ -66,8 +18,13 @@ struct reclaim_none {
     static constexpr bool quiescence_based = false;
     static constexpr bool per_access_protection = false;
 
-    using config = detail::trivial_global::config;
-    using global_state = detail::trivial_global;
+    struct config {};
+
+    /// No shared state and no hooks: the traits above rule out every hook
+    /// the record manager could ask of a global, so it answers them itself.
+    struct global_state {
+        global_state(int, const config&, debug_stats*) noexcept {}
+    };
 
     template <class T, class Pool, int B = mem::DEFAULT_BLOCK_SIZE>
     class per_type {
@@ -80,42 +37,9 @@ struct reclaim_none {
             if (stats_) stats_->add(tid, stat::records_retired);
             // Leaked by design; see header comment.
         }
-        void rotate_and_reclaim(int) noexcept {}
-        int current_bag_blocks(int) const noexcept { return 0; }
         long long limbo_size(int) const noexcept { return 0; }
 
       private:
-        debug_stats* stats_;
-    };
-};
-
-struct reclaim_immediate {
-    static constexpr const char* name = "immediate(unsafe)";
-    static constexpr bool supports_crash_recovery = false;
-    static constexpr bool is_fault_tolerant = true;
-    static constexpr bool quiescence_based = false;
-    static constexpr bool per_access_protection = false;
-
-    using config = detail::trivial_global::config;
-    using global_state = detail::trivial_global;
-
-    template <class T, class Pool, int B = mem::DEFAULT_BLOCK_SIZE>
-    class per_type {
-      public:
-        per_type(int, global_state&, Pool& pool, mem::block_pool_array<T, B>&,
-                 debug_stats* stats)
-            : pool_(pool), stats_(stats) {}
-
-        void retire(int tid, T* p) {
-            if (stats_) stats_->add(tid, stat::records_retired);
-            pool_.release(tid, p);
-        }
-        void rotate_and_reclaim(int) noexcept {}
-        int current_bag_blocks(int) const noexcept { return 0; }
-        long long limbo_size(int) const noexcept { return 0; }
-
-      private:
-        Pool& pool_;
         debug_stats* stats_;
     };
 };

@@ -64,12 +64,9 @@ class scan_bag {
         if (st.bag.size() >= global_.scan_threshold_records()) scan(tid);
     }
 
-    /// These schemes reclaim from retire(); the manager-level rotation hook
-    /// is a no-op.
+    /// These schemes reclaim from retire(); the rotation hook, which the
+    /// manager's leave_qstate builds for IBR, is a no-op.
     void rotate_and_reclaim(int) noexcept {}
-    int current_bag_blocks(int tid) const {
-        return states_[tid]->bag.size_in_blocks();
-    }
     long long limbo_size(int tid) const { return states_[tid]->bag.size(); }
 
   private:

@@ -12,11 +12,28 @@
 //   recovery    : rprotect, runprotect_all, is_rprotected, run_op
 //   introspection: stats(), limbo_size<T>, traits
 //
-// All composition happens through templates: for DEBRA, protect() compiles
-// to `return true` and vanishes; for schemes without crash recovery,
-// run_op() contains no sigsetjmp (the paper's supportsCrashRecovery
-// predicate). Changing the reclamation scheme of a data structure is
-// exactly one template argument.
+// The scheme contract. A scheme's compile-time traits decide which hooks
+// its global state supplies, and the manager answers every hook a trait
+// rules out, so each scheme defines only the hooks it gives meaning to:
+//
+//   quiescence_based         leave_qstate, enter_qstate, is_quiescent.
+//                            Without it leave_qstate and is_quiescent are
+//                            false and enter_qstate is clear_protections.
+//   per_access_protection    protect, unprotect, is_protected,
+//                            clear_hazards. Without it protect and
+//                            is_protected are true, the others no-ops.
+//   supports_crash_recovery  rprotect, runprotect_all, is_rprotected,
+//                            jmp_env, prepare_recovery, and a limbo
+//                            pressure argument to leave_qstate. Without it
+//                            rprotect is true, is_rprotected false,
+//                            runprotect_all a no-op, and run_op has no
+//                            sigsetjmp.
+//
+// init_thread and deinit_thread are optional. So for DEBRA, protect()
+// compiles to `return true` and vanishes; for schemes without crash
+// recovery, run_op() contains no sigsetjmp (the paper's
+// supportsCrashRecovery predicate). Changing the reclamation scheme of a
+// data structure is exactly one template argument.
 //
 // Global state (epoch counter, announcement words, hazard slots) is shared
 // across the manager's record types; limbo bags and pools are per-type so a
@@ -165,16 +182,18 @@ class record_manager {
 
     /// Must be called on the thread that will use `tid`, before any other
     /// call with that tid. For DEBRA+ this registers the thread as a
-    /// neutralization target. Registering a tid that is already registered
-    /// is a usage error (debug assert).
+    /// neutralization target. A tid outside [0, num_threads) aborts in
+    /// every build; registering a tid that is already registered is a
+    /// usage error (debug assert).
     void init_thread(int tid) {
-        assert(tid >= 0 && tid < num_threads_ && "init_thread: tid out of range");
-        if (tid < 0 || tid >= num_threads_) return;
+        require_tid_in_range("init_thread", tid, num_threads_);
         auto& st = *lifecycle_[tid];
         assert(st.load(std::memory_order_relaxed) != LIFE_REGISTERED &&
                "init_thread: tid is already registered (double init)");
         st.store(LIFE_REGISTERED, std::memory_order_relaxed);
-        global_.init_thread(tid);
+        if constexpr (requires { global_.init_thread(tid); }) {
+            global_.init_thread(tid);
+        }
         obs::instant(&stats_, tid, obs::trace_event::thread_register,
                      static_cast<std::uint64_t>(tid));
     }
@@ -199,7 +218,9 @@ class record_manager {
         obs::instant(&stats_, tid, obs::trace_event::thread_deregister,
                      static_cast<std::uint64_t>(tid));
         st.store(LIFE_PARKED, std::memory_order_relaxed);
-        global_.deinit_thread(tid);
+        if constexpr (requires { global_.deinit_thread(tid); }) {
+            global_.deinit_thread(tid);
+        }
     }
 
     /// Whether `tid` currently has a live registration.
@@ -213,24 +234,44 @@ class record_manager {
 
     /// Start of a data structure operation. Returns true iff this thread's
     /// epoch announcement changed (its oldest limbo bag was reclaimed).
+    /// Crash-recovery schemes also get the limbo pressure that decides
+    /// whether a laggard is neutralized: the fullest current bag, in
+    /// blocks.
     bool leave_qstate(int tid) {
-        return global_.leave_qstate(
-            tid,
-            [&] { for_each_bundle([&](auto& b) { b.rec.rotate_and_reclaim(tid); }); },
-            [&] {
-                int mx = 0;
-                for_each_bundle([&](auto& b) {
-                    const int blocks = b.rec.current_bag_blocks(tid);
-                    if (blocks > mx) mx = blocks;
+        if constexpr (quiescence_based) {
+            auto rotate = [&] {
+                for_each_bundle(
+                    [&](auto& b) { b.rec.rotate_and_reclaim(tid); });
+            };
+            if constexpr (supports_crash_recovery) {
+                return global_.leave_qstate(tid, rotate, [&] {
+                    int mx = 0;
+                    for_each_bundle([&](auto& b) {
+                        const int blocks = b.rec.current_bag_blocks(tid);
+                        if (blocks > mx) mx = blocks;
+                    });
+                    return mx;
                 });
-                return mx;
-            });
+            } else {
+                return global_.leave_qstate(tid, rotate);
+            }
+        } else {
+            return false;
+        }
     }
 
-    /// End of a data structure operation.
-    void enter_qstate(int tid) { global_.enter_qstate(tid); }
+    /// End of a data structure operation. A scheme without quiescence
+    /// tracking releases its per-access protections instead (paper Section
+    /// 6: "enterQstate clears all announced HPs").
+    void enter_qstate(int tid) {
+        if constexpr (quiescence_based) global_.enter_qstate(tid);
+        else clear_protections(tid);
+    }
 
-    bool is_quiescent(int tid) const { return global_.is_quiescent(tid); }
+    bool is_quiescent(int tid) const {
+        if constexpr (quiescence_based) return global_.is_quiescent(tid);
+        else return false;
+    }
 
     // ---- record lifecycle --------------------------------------------------
 
@@ -298,22 +339,27 @@ class record_manager {
     /// Must succeed before any field of `p` is read or `p` is used as a CAS
     /// expected value. `validate` checks that `p` is still safe (e.g. still
     /// linked); it runs after the announcement fence. For epoch schemes this
-    /// whole call compiles to `true`.
+    /// whole call compiles to `true`: the operation's quiescence bracket
+    /// already covers every record it can reach.
     template <class T, class ValidateFn>
     bool protect(int tid, T* p, ValidateFn&& validate) {
-        return global_.protect(tid, p, std::forward<ValidateFn>(validate));
+        if constexpr (per_access_protection)
+            return global_.protect(tid, p, std::forward<ValidateFn>(validate));
+        else return true;
     }
     template <class T>
     bool protect(int tid, T* p) {
-        return global_.protect(tid, p, [] { return true; });
+        return protect(tid, p, [] { return true; });
     }
     template <class T>
     void unprotect(int tid, T* p) {
-        global_.unprotect(tid, p);
+        if constexpr (per_access_protection) global_.unprotect(tid, p);
     }
     template <class T>
     bool is_protected(int tid, T* p) const {
-        return global_.is_protected(tid, p);
+        if constexpr (per_access_protection)
+            return global_.is_protected(tid, p);
+        else return true;
     }
 
     /// Releases every per-access protection this thread holds (hazard
@@ -324,11 +370,7 @@ class record_manager {
     /// per-access and quiescence-tracking (IBR) also retracted the
     /// quiescence announcement mid-operation.
     void clear_protections(int tid) {
-        if constexpr (per_access_protection) {
-            global_.clear_hazards(tid);
-        } else {
-            (void)tid;
-        }
+        if constexpr (per_access_protection) global_.clear_hazards(tid);
     }
 
     // ---- guard accounting (guards.h) -------------------------------------
@@ -346,15 +388,24 @@ class record_manager {
     }
 
     // ---- crash recovery (DEBRA+) ---------------------------------------------
+    //
+    // Without crash recovery there is no recovery code to consult these
+    // (paper Section 6: RProtect and RUnprotectAll do nothing, isRProtected
+    // returns false).
 
     template <class T>
     bool rprotect(int tid, T* p) {
-        return global_.rprotect(tid, p);
+        if constexpr (supports_crash_recovery) return global_.rprotect(tid, p);
+        else return true;
     }
-    void runprotect_all(int tid) { global_.runprotect_all(tid); }
+    void runprotect_all(int tid) {
+        if constexpr (supports_crash_recovery) global_.runprotect_all(tid);
+    }
     template <class T>
     bool is_rprotected(int tid, T* p) const {
-        return global_.is_rprotected(tid, p);
+        if constexpr (supports_crash_recovery)
+            return global_.is_rprotected(tid, p);
+        else return false;
     }
 
     /// Runs one data structure operation with neutralization recovery.
@@ -387,7 +438,6 @@ class record_manager {
                 }
             }
         } else {
-            (void)recovery;
             while (!body(tid)) {}
         }
     }

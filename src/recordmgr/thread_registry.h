@@ -41,6 +41,17 @@
 
 namespace smr {
 
+/// Aborts with a diagnostic unless `tid` lies in [0, num_threads). An
+/// out-of-range tid would index past the manager's and its scheme's
+/// per-thread arrays, so every build stops here, as it does on registry
+/// exhaustion and on a double claim.
+inline void require_tid_in_range(const char* who, int tid, int num_threads) {
+    if (tid >= 0 && tid < num_threads) return;
+    std::fprintf(stderr, "%s: tid %d is outside [0, num_threads=%d)\n", who,
+                 tid, num_threads);
+    std::abort();
+}
+
 /// Lock-free free-list of thread ids. One per record_manager instance;
 /// slots beyond the manager's num_threads are never handed out.
 class thread_registry {
@@ -60,9 +71,10 @@ class thread_registry {
         std::abort();
     }
 
-    /// Claims a specific tid; false if another handle holds it.
+    /// Claims a specific tid; false if another handle holds it. A tid
+    /// beyond the slot array aborts in every build.
     bool try_acquire(int tid) {
-        assert(tid >= 0 && tid < MAX_THREADS);
+        require_tid_in_range("thread_registry", tid, MAX_THREADS);
         bool expected = false;
         return slots_[tid]->compare_exchange_strong(
             expected, true, std::memory_order_acq_rel);
@@ -162,11 +174,12 @@ class thread_handle {
     operator accessor<Mgr>() const { return access(); }
 
   private:
-    /// Claims a caller-chosen tid; a tid another live handle holds is a
-    /// usage error and aborts (as registry exhaustion does): proceeding
-    /// would have two threads write the same per-thread scheme state.
+    /// Claims a caller-chosen tid; a tid outside the manager or one another
+    /// live handle holds is a usage error and aborts (as registry
+    /// exhaustion does): proceeding would have a thread write per-thread
+    /// scheme state that is not its own.
     static int claim_tid(Mgr& mgr, int tid) {
-        assert(tid >= 0 && tid < mgr.num_threads());
+        require_tid_in_range("thread_handle", tid, mgr.num_threads());
         if (!mgr.registry().try_acquire(tid)) {
             std::fprintf(stderr,
                          "thread_handle: tid %d is already held by another "

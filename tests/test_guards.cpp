@@ -410,6 +410,35 @@ TEST_F(GuardMisuseDeath, GuardOutlivingOpGuardFiresDebugAssert) {
 }
 #endif
 
+#if defined(GTEST_HAS_DEATH_TEST)
+// An explicit tid outside [0, num_threads) would index past the manager's
+// and the scheme's per-thread arrays. It aborts with a diagnostic in every
+// build, Release included, through both registration paths.
+TEST(RegistrationDeath, TidOutsideTheManagerAborts) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    using mgr_t = record_manager<reclaim::reclaim_debra, alloc_malloc,
+                                 pool_shared, rec>;
+    EXPECT_DEATH(
+        {
+            mgr_t mgr(2);
+            auto handle = mgr.register_thread(2);
+        },
+        "thread_handle: tid 2 is outside \\[0, num_threads=2\\)");
+    EXPECT_DEATH(
+        {
+            mgr_t mgr(2);
+            auto handle = mgr.register_thread(-1);
+        },
+        "thread_handle: tid -1 is outside \\[0, num_threads=2\\)");
+    EXPECT_DEATH(
+        {
+            mgr_t mgr(2);
+            mgr.init_thread(2);
+        },
+        "init_thread: tid 2 is outside \\[0, num_threads=2\\)");
+}
+#endif
+
 // ---- thread_handle / registry ----------------------------------------------
 
 TYPED_TEST(GuardTyped, AutoTidsAreDistinctAndRecycled) {

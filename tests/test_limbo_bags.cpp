@@ -8,6 +8,7 @@
 #include "alloc/allocator_new.h"
 #include "mem/block_pool.h"
 #include "pool/pool_perthread_shared.h"
+#include "reclaim/epoch_core.h"
 #include "reclaim/limbo_bags.h"
 #include "util/debug_stats.h"
 
@@ -28,7 +29,8 @@ class LimboBagsTest : public ::testing::Test {
     alloc_t alloc_{2, &stats_};
     mem::block_pool_array<rec, B> bpools_{2, &stats_};
     pool_t pool_{2, alloc_, bpools_, &stats_};
-    limbo_bags<rec, pool_t, B> limbo_{2, pool_, bpools_, &stats_};
+    epoch_core core_{2, epoch_config{}, &stats_};
+    limbo_bags<rec, pool_t, B> limbo_{2, core_, pool_, bpools_, &stats_};
 };
 
 TEST_F(LimboBagsTest, RetireGoesToCurrentBag) {

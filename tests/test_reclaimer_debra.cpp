@@ -89,7 +89,7 @@ TEST(ReclaimDebra, GracePeriodDelaysReuse) {
     mgr.init_thread(0);
     // Simulate thread 1 being mid-operation: non-quiescent, stale epoch.
     // (Done via the global state directly; thread 1 never actually runs.)
-    mgr.global().leave_qstate(1, [] {}, [] { return 0; });
+    mgr.global().leave_qstate(1, [] {});
 
     std::set<rec*> retired;
     for (int i = 0; i < 2 * mgr_debra::BLOCK_SIZE; ++i) {

@@ -1,5 +1,5 @@
-// Tests for the None / immediate baselines (src/reclaim/reclaimer_none.h)
-// through the record manager.
+// Tests for the None baseline (src/reclaim/reclaimer_none.h) through the
+// record manager.
 #include <gtest/gtest.h>
 
 #include "recordmgr/record_manager.h"
@@ -14,8 +14,6 @@ struct rec {
 
 using mgr_none =
     record_manager<reclaim::reclaim_none, alloc_malloc, pool_shared, rec>;
-using mgr_imm = record_manager<reclaim::reclaim_immediate, alloc_malloc,
-                               pool_shared, rec>;
 
 TEST(ReclaimNone, Traits) {
     EXPECT_STREQ(mgr_none::scheme_name, "none");
@@ -76,32 +74,6 @@ TEST(ReclaimNone, RunOpIsPlainRetryLoop) {
         });
     EXPECT_EQ(body_runs, 3);
     EXPECT_EQ(recovery_runs, 0);  // no crash recovery for this scheme
-    mgr.deinit_thread(0);
-}
-
-TEST(ReclaimImmediate, RetireFreesInstantly) {
-    mgr_imm mgr(1);
-    mgr.init_thread(0);
-    rec* r = mgr.new_record<rec>(0);
-    mgr.leave_qstate(0);
-    mgr.retire<rec>(0, r);
-    mgr.enter_qstate(0);
-    EXPECT_EQ(mgr.stats().total(stat::records_pooled), 1u);
-    // The very next allocation reuses the storage (single-threaded).
-    rec* again = mgr.new_record<rec>(0);
-    EXPECT_EQ(again, r);
-    mgr.deallocate<rec>(0, again);
-    mgr.deinit_thread(0);
-}
-
-TEST(ReclaimImmediate, LimboAlwaysEmpty) {
-    mgr_imm mgr(1);
-    mgr.init_thread(0);
-    for (int i = 0; i < 10; ++i) {
-        rec* r = mgr.new_record<rec>(0);
-        mgr.retire<rec>(0, r);
-    }
-    EXPECT_EQ(mgr.total_limbo_size<rec>(), 0);
     mgr.deinit_thread(0);
 }
 

@@ -147,6 +147,29 @@ TYPED_TEST(ManagerTyped, LifecycleAndLimboAccounting) {
     mgr.deinit_thread(0);
 }
 
+// A thread that deregisters mid-operation must not leave a record pinned:
+// each per-access scheme's deinit_thread hook releases its protections, and
+// the manager calls that hook only when the scheme defines it.
+TYPED_TEST(ManagerTyped, DeinitReleasesPerAccessProtections) {
+    using mgr_t =
+        record_manager<TypeParam, alloc_malloc, pool_shared, small_rec>;
+    if constexpr (!mgr_t::per_access_protection) {
+        GTEST_SKIP() << "epoch protection keeps no per-record state";
+    } else {
+        mgr_t mgr(1);
+        mgr.init_thread(0);
+        auto* r = mgr.template new_record<small_rec>(0);
+        mgr.leave_qstate(0);
+        ASSERT_TRUE(mgr.protect(0, r));
+        EXPECT_TRUE(mgr.is_protected(0, r));
+        mgr.deinit_thread(0);
+        EXPECT_FALSE(mgr.is_protected(0, r));
+        mgr.init_thread(0);
+        mgr.template deallocate<small_rec>(0, r);
+        mgr.deinit_thread(0);
+    }
+}
+
 // ---- multi-type bundles ---------------------------------------------------
 
 using mgr2 = record_manager<reclaim::reclaim_debra, alloc_malloc, pool_shared,

@@ -16,7 +16,10 @@
 // against it, reproducing the paper's applicability table).
 #include <gtest/gtest.h>
 
+#include <setjmp.h>
+
 #include <atomic>
+#include <concepts>
 #include <thread>
 #include <vector>
 
@@ -121,9 +124,38 @@ TYPED_TEST(SchemeMatrix, SchemeConceptConformance) {
     using mgr_t = testutil::list_mgr<S>;
     static_assert(mgr_t::quiescence_based == S::quiescence_based);
     static_assert(mgr_t::per_access_protection == S::per_access_protection);
-    // Every scheme global must expose the dedicated hazard-clear hook the
-    // guard layer routes bulk releases through (no-op for epoch schemes).
-    static_assert(requires(typename S::global_state& g) { g.clear_hazards(0); });
+    // The scheme contract (record_manager.h): each trait names the hooks
+    // the global state supplies, and the manager answers the hooks a trait
+    // rules out. Crash recovery adds the limbo pressure to leave_qstate.
+    using G = typename S::global_state;
+    static_assert(!S::per_access_protection ||
+                  requires(G& g, const G& cg, const void* p,
+                           bool (*validate)()) {
+                      { g.protect(0, p, validate) } -> std::same_as<bool>;
+                      g.unprotect(0, p);
+                      { cg.is_protected(0, p) } -> std::same_as<bool>;
+                      g.clear_hazards(0);
+                  });
+    static_assert(!S::quiescence_based ||
+                  (requires(G& g, const G& cg) {
+                      g.enter_qstate(0);
+                      { cg.is_quiescent(0) } -> std::same_as<bool>;
+                  } && (S::supports_crash_recovery ||
+                        requires(G& g, void (*rotate)()) {
+                            { g.leave_qstate(0, rotate) } -> std::same_as<bool>;
+                        })));
+    static_assert(!S::supports_crash_recovery ||
+                  requires(G& g, const G& cg, const void* p,
+                           void (*rotate)(), int (*pressure)()) {
+                      {
+                          g.leave_qstate(0, rotate, pressure)
+                      } -> std::same_as<bool>;
+                      { g.rprotect(0, p) } -> std::same_as<bool>;
+                      g.runprotect_all(0);
+                      { cg.is_rprotected(0, p) } -> std::same_as<bool>;
+                      { g.jmp_env(0) } -> std::same_as<sigjmp_buf&>;
+                      g.prepare_recovery(0);
+                  });
     // The RAII layer instantiates for every scheme, and its guard_ptr is a
     // bare pointer exactly when the scheme has no per-access protection.
     using node_t = ds::list_node<key_t, val_t>;
