@@ -221,10 +221,12 @@ std::vector<scenario> build_registry() {
         s.name = "range_scan_mix";
         s.summary = "10% real range queries (100 consecutive keys) against "
                     "light churn on every set-shaped structure: a scan "
-                    "holds many protections at once, so the per-access "
-                    "schemes' protection-window cost (guard_span: HP slot "
-                    "chains, HE era aliasing, IBR interval) is measured "
-                    "directly against the epoch schemes' empty spans";
+                    "protects and releases a node per step and holds a "
+                    "window of them (the BST its DFS stack, the lists a "
+                    "hand-over-hand pair), so the per-access schemes' "
+                    "protection cost (guard_span: HP slots, HE era "
+                    "aliasing, IBR interval) is measured directly against "
+                    "the epoch schemes' empty spans";
         s.paper_ref = "beyond the paper: container-concept range scans";
         s.ds = {"ellen_bst", "lazy_skiplist", "harris_list", "hash_map"};
         s.schemes = {"none", "debra", "debra+", "hp", "he", "ibr"};

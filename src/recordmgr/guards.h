@@ -22,14 +22,15 @@
 //                     does;
 //   * guard_span      owns N per-access protections at once: the bulk
 //                     flavour for operations -- range queries above all --
-//                     that must keep an unbounded set of records safe
-//                     simultaneously. Move-only; releases everything on
-//                     destruction/reset; records its protections in a
-//                     grow-on-demand array (small inline buffer, heap
-//                     doubling past it). For epoch schemes it is an empty,
-//                     trivially destructible token (static_assert-enforced,
-//                     like guard_ptr), so spans are legal inside
-//                     run_guarded bodies under neutralizing schemes;
+//                     that must keep a changing set of records safe
+//                     simultaneously. Move-only; release(p) drops one
+//                     record, destruction/reset everything; records its
+//                     protections in a grow-on-demand array (small inline
+//                     buffer, heap doubling past it). For epoch schemes it
+//                     is an empty, trivially destructible token
+//                     (static_assert-enforced, like guard_ptr), so spans
+//                     are legal inside run_guarded bodies under
+//                     neutralizing schemes;
 //   * op_guard        brackets leave_qstate/enter_qstate for one
 //                     operation of a non-neutralizing scheme;
 //   * run_guarded     the op_guard discipline composed with run_op: for
@@ -172,10 +173,12 @@ class guard_ptr<Mgr, T, false> {
 ///     destructible, nothing at run time.
 ///
 /// The span records what it protected in a grow-on-demand array (inline
-/// buffer of 16, heap doubling beyond) and releases in reverse order on
-/// reset()/destruction. Like guard_ptr, a span must die before the
-/// operation that justified it ends (op_guard / run_guarded assert this in
-/// debug builds via the manager's live-guard accounting).
+/// buffer of 16, heap doubling beyond). release(p) drops one record the
+/// caller is done with -- a DFS keeps only its stack -- and reset() or
+/// destruction releases the rest in reverse order. Like guard_ptr, a span
+/// must die before the operation that justified it ends (op_guard /
+/// run_guarded assert this in debug builds via the manager's live-guard
+/// accounting).
 template <class Mgr, bool PerAccess = Mgr::per_access_protection>
 class guard_span {
   public:
@@ -240,6 +243,23 @@ class guard_span {
     template <class T>
     [[nodiscard]] bool protect(T* p) {
         return protect(p, [] { return true; });
+    }
+
+    /// Releases the newest protection of `p` this span holds, through the
+    /// same per-pointer unprotect as reset(), and drops it from the
+    /// record. The search runs from the newest end, where a traversal's
+    /// just-finished record sits (a DFS node is released right after its
+    /// children are admitted, two entries below the top). A pointer the
+    /// span does not hold is a no-op.
+    void release(const void* p) noexcept {
+        const void** s = slots();
+        for (std::size_t i = count_; i-- > 0;) {
+            if (s[i] != p) continue;
+            mgr_->unprotect(tid_, p);
+            mgr_->guard_released(tid_);
+            for (--count_; i < count_; ++i) s[i] = s[i + 1];
+            return;
+        }
     }
 
     /// Releases every protection this span holds, newest first. The
@@ -313,6 +333,7 @@ class guard_span<Mgr, false> {
     [[nodiscard]] bool protect(T*) noexcept {
         return true;
     }
+    void release(const void*) noexcept {}
     void reset() noexcept {}
     std::size_t size() const noexcept { return 0; }
     bool empty() const noexcept { return true; }

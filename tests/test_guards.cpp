@@ -234,6 +234,55 @@ TYPED_TEST(GuardTyped, SpanReleasesEverythingOnScopeExit) {
     for (rec* r : recs) acc.deallocate(r);
 }
 
+TYPED_TEST(GuardTyped, SpanReleaseDropsOneRecord) {
+    constexpr bool per_access = TypeParam::per_access_protection;
+    // HP and HE track protection per record; IBR's interval covers all.
+    constexpr bool per_record = std::string_view(TypeParam::name) == "hp" ||
+                                std::string_view(TypeParam::name) == "he";
+    typename TestFixture::mgr_t mgr(2);
+    auto handle = mgr.register_thread();
+    auto acc = mgr.access(handle);
+    const int tid = handle.tid();
+    rec* a = acc.template new_record<rec>();
+    rec* b = acc.template new_record<rec>();
+    rec* c = acc.template new_record<rec>();
+    rec outsider{};
+    {
+        auto op = acc.op();
+        auto span = acc.make_span();
+        const auto expect_held = [&](int n) {
+            EXPECT_EQ(static_cast<int>(span.size()), per_access ? n : 0);
+            EXPECT_EQ(mgr.live_guard_count(tid), per_access ? n : 0);
+        };
+        ASSERT_TRUE(span.protect(a));
+        ASSERT_TRUE(span.protect(b));
+        ASSERT_TRUE(span.protect(c));
+        span.release(b);
+        expect_held(2);
+        if constexpr (per_record) {
+            EXPECT_TRUE(mgr.is_protected(tid, a));
+            EXPECT_FALSE(mgr.is_protected(tid, b));
+            EXPECT_TRUE(mgr.is_protected(tid, c));
+        }
+        // b is no longer held and `outsider` never was: both are no-ops.
+        span.release(b);
+        span.release(&outsider);
+        expect_held(2);
+        if constexpr (per_record) {
+            EXPECT_TRUE(mgr.is_protected(tid, a));
+            EXPECT_TRUE(mgr.is_protected(tid, c));
+        }
+        // reset() releases a and c once each: the count lands on zero.
+        span.reset();
+        expect_held(0);
+        if constexpr (per_record) {
+            EXPECT_FALSE(mgr.is_protected(tid, a));
+            EXPECT_FALSE(mgr.is_protected(tid, c));
+        }
+    }
+    for (rec* r : {a, b, c}) acc.deallocate(r);
+}
+
 TYPED_TEST(GuardTyped, SpanGrowsPastEveryFixedBudget) {
     // 200 distinct records exceed the span's inline record buffer (16),
     // HP's base slot chunk (64 -> the chain grows), and HE's initial

@@ -5,6 +5,8 @@
 //     sorted, duplicate-free key subset of [lo, hi], values intact;
 //   * early visitor exit stops the scan and releases every protection
 //     (guard_span unwinds: live_guard_count drops to zero);
+//   * the Ellen BST scan holds O(tree height) protections, not one per
+//     scanned node;
 //   * void visitors are accepted (visit-everything shape);
 //   * concurrent churn during scans never breaks the ascending-keys
 //     guarantee, delivers only in-range keys, and is ASan-clean (a scan
@@ -16,9 +18,12 @@
 // the neutralization recovery harness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -141,6 +146,61 @@ TYPED_TEST(RangeQueryTyped, EllenBstModelCheck) {
     mgr_t mgr(2, fast_config<mgr_t>());
     ds::ellen_bst<key_t, val_t, mgr_t> bst(mgr);
     model_check(mgr, bst);
+}
+
+/// Nodes on the longest root-to-leaf path below `n` (a lone leaf is 1).
+template <class Node>
+int subtree_height(const Node* n) {
+    const Node* l = n->left.load(std::memory_order_relaxed);
+    if (l == nullptr) return 1;
+    const Node* r = n->right.load(std::memory_order_relaxed);
+    return 1 + std::max(subtree_height(l), subtree_height(r));
+}
+
+// The scan's protection window is its DFS stack plus the node being
+// expanded, not the scanned subtree: a full-range scan of a 10,000-key tree
+// holds at most height + 2 protections at any visit, and an HP slot row
+// never grows past its first chunk.
+TYPED_TEST(RangeQueryTyped, EllenBstScanHoldsOnlyItsStack) {
+    using S = TypeParam;
+    if (skip_leaky_cell<S>()) GTEST_SKIP() << "'none' leaks by design";
+    using mgr_t = testutil::bst_mgr<S>;
+    constexpr int THREADS = 2;
+    mgr_t mgr(THREADS, fast_config<mgr_t>());
+    ds::ellen_bst<key_t, val_t, mgr_t> bst(mgr);
+    auto handle = mgr.register_thread();
+    auto acc = mgr.access(handle);
+    const int tid = handle.tid();
+
+    constexpr int N = 10000;
+    std::vector<key_t> keys(N);
+    std::iota(keys.begin(), keys.end(), key_t{0});
+    prng rng(2027);
+    for (std::size_t i = keys.size() - 1; i > 0; --i) {
+        std::swap(keys[i], keys[rng.next(i + 1)]);
+    }
+    for (const key_t k : keys) ASSERT_TRUE(bst.insert(acc, k, k));
+    const int height = subtree_height(bst.root());
+
+    std::atomic<int> most_held{0};
+    const long long visited =
+        bst.range_query(acc, 0, N - 1, [&](const key_t&, const val_t&) {
+            const int held = mgr.live_guard_count(tid);
+            if (held > most_held.load(std::memory_order_relaxed)) {
+                most_held.store(held, std::memory_order_relaxed);
+            }
+        });
+    EXPECT_EQ(visited, N);
+    EXPECT_LE(most_held.load(), height + 2) << "tree height " << height;
+    if constexpr (S::per_access_protection) {
+        EXPECT_GT(most_held.load(), 0);
+    }
+    EXPECT_EQ(mgr.live_guard_count(tid), 0);
+    if constexpr (std::string_view(S::name) == "hp") {
+        EXPECT_EQ(mgr.global().max_hazards(),
+                  static_cast<std::size_t>(THREADS *
+                                           reclaim::detail::hp_global::K));
+    }
 }
 
 TYPED_TEST(RangeQueryTyped, HarrisListModelCheck) {
