@@ -20,9 +20,8 @@
 //     the compile-time exclusion of DEBRA+ from structures that carry no
 //     neutralization recovery code (paper Section 5).
 //
-// Run parameters come from harness::bench_config (bench_config.h), the
-// single env + CLI resolution chain; this header deliberately contains no
-// environment parsing of its own.
+// Run parameters come from harness::bench_config (bench_config.h), which
+// the command-line flags fill in.
 #pragma once
 
 #include <cstdio>
@@ -385,9 +384,7 @@ inline void print_banner(const std::string& title,
                          const harness::bench_config& cfg) {
     std::printf("==========================================================\n");
     std::printf("%s\n", title.c_str());
-    std::printf("trial_ms=%d trials=%d (env: SMR_TRIAL_MS SMR_TRIALS "
-                "SMR_THREADS SMR_KEYRANGE_LARGE; flags override)\n",
-                cfg.trial_ms, cfg.trials);
+    std::printf("trial_ms=%d trials=%d\n", cfg.trial_ms, cfg.trials);
     std::printf("==========================================================\n");
 }
 

@@ -28,6 +28,7 @@ namespace smr::bench {
 namespace {
 
 void print_usage() {
+    const harness::bench_config d;  // the defaults the text quotes
     std::printf(
         "smr_bench -- scenario-driven SMR benchmark driver\n\n"
         "usage: smr_bench --scenario=NAME [options]\n"
@@ -50,36 +51,34 @@ void print_usage() {
         "  --trials=N           trials per point (each emitted separately)\n"
         "  --keyrange=N         the 'large' key range scenarios refer to\n"
         "  --seed=N             base PRNG seed (trial t uses seed+t)\n"
-        "  --lat-sample=N       time every Nth op per thread (default 32;\n"
+        "  --lat-sample=N       time every Nth op per thread (default %d;\n"
         "                       0 disables latency recording)\n"
         "  --json=PATH          write the run document to PATH ('-' =\n"
         "                       stdout)\n"
         "  --list               list scenarios and exit\n\n"
         "serve mode (the smr_serve scenario):\n"
         "  --serve-rate=N       offered load in ops/s across all workers\n"
-        "                       (token bucket per worker; default 100000)\n"
-        "  --snapshot-ms=N      telemetry snapshot period (default 100)\n"
+        "                       (token bucket per worker; default %lld)\n"
+        "  --snapshot-ms=N      telemetry snapshot period (default %d)\n"
         "  --serve-churn-ms=N   thread-registration churn wave period\n"
         "                       (0 with --serve-churn-threads=0 = scenario\n"
         "                       default: 250ms, one churner)\n"
         "  --serve-churn-threads=N  workers that deregister/re-register\n"
         "                       each wave\n"
         "  --serve-monitor-window=N  leak-monitor sliding window, in\n"
-        "                       snapshots (default 8)\n"
+        "                       snapshots (default %d)\n"
         "  --serve-monitor-growth=N  minimum per-window growth (records)\n"
-        "                       counted as a violation (default 4096)\n"
+        "                       counted as a violation (default %lld)\n"
         "  --serve-canary=N     leak one retired record every N ops on\n"
         "                       worker 0 (0 = off; the run must FAIL)\n"
         "  --timeline=PREFIX    write one JSONL timeline per cell to\n"
         "                       PREFIX.<ds>.<scheme>.jsonl (plus a\n"
         "                       .trial<N> suffix when --trials > 1)\n"
         "  --trace-ring=N       per-thread event ring capacity (default\n"
-        "                       4096, rounded up to a power of two)\n\n"
-        "environment defaults (flags win): SMR_TRIAL_MS, SMR_TRIALS,\n"
-        "SMR_THREADS, SMR_KEYRANGE_LARGE, SMR_SERVE_RATE, SMR_SNAPSHOT_MS,\n"
-        "SMR_SERVE_CHURN_MS, SMR_SERVE_CHURN_THREADS,\n"
-        "SMR_SERVE_MONITOR_WINDOW, SMR_SERVE_MONITOR_GROWTH,\n"
-        "SMR_SERVE_CANARY, SMR_TIMELINE, SMR_TRACE_RING\n");
+        "                       %lld, rounded up to a power of two)\n",
+        d.lat_sample, d.serve.ops_per_sec, d.serve.snapshot.snapshot_ms,
+        d.serve.snapshot.monitor.window, d.serve.snapshot.monitor.min_growth,
+        d.serve.ring_capacity);
 }
 
 void print_list() {
@@ -106,11 +105,12 @@ std::vector<int> resolve_threads(const scenario& sc,
         return cfg.thread_counts;
     }
     // Oversubscription scenarios default to a sweep past the core count
-    // (the paper's Figure 9 regime), unless the user pinned --threads.
+    // (the paper's Figure 9 regime), unless the user pinned --threads. The
+    // record_manager's per-thread arrays cap the sweep at MAX_THREADS.
     std::vector<int> sweep = {1, 2, 4, 8, 16};
     const int cores =
         static_cast<int>(std::thread::hardware_concurrency());
-    if (cores > 0) sweep.push_back(2 * cores);
+    if (cores > 0) sweep.push_back(std::min(2 * cores, MAX_THREADS));
     std::sort(sweep.begin(), sweep.end());
     sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
     return sweep;
@@ -426,7 +426,7 @@ int write_json(const harness::json& doc, const std::string& path,
 }
 
 int driver_main(int argc, char** argv) {
-    harness::bench_config cfg = harness::bench_config::from_env();
+    harness::bench_config cfg;
     std::string err;
     if (!cfg.apply_args(argc, argv, &err)) {
         std::fprintf(stderr, "smr_bench: %s\n", err.c_str());

@@ -26,12 +26,10 @@ namespace smr::bench {
 
 namespace {
 
-/// Scenario churn defaults when the user set neither knob: a wave every
-/// 250ms, one churner, as soon as there is a worker to spare.
-void resolve_churn(const harness::bench_config& cfg, int threads,
-                   harness::serve_config* sv) {
-    sv->churn_period_ms = cfg.serve_churn_ms;
-    sv->churn_threads = cfg.serve_churn_threads;
+/// Scenario churn default when the user set neither knob: a wave every
+/// 250ms, one churner, as soon as there is a worker to spare. Worker 0
+/// never churns.
+void resolve_churn(int threads, harness::serve_config* sv) {
     if (sv->churn_period_ms == 0 && sv->churn_threads == 0 && threads >= 2) {
         sv->churn_period_ms = 250;
         sv->churn_threads = 1;
@@ -49,15 +47,17 @@ int run_smr_serve(const scenario& sc, const harness::bench_config& cfg,
         cfg.scheme_filter.empty() ? sc.schemes : cfg.scheme_filter;
     const int threads = cfg.thread_counts.front();
     const long long key_range = cfg.keyrange_large;
+    const harness::serve_config& flags = cfg.serve;
+    const std::string& timeline_prefix = flags.snapshot.path;
 
     print_banner(sc.name + " -- " + sc.summary + "\n[" + sc.paper_ref + "]",
                  cfg);
     std::printf(
         "serve: %lld ops/s across %d threads, %d ms, snapshot every %d ms, "
         "ring %lld%s\n",
-        cfg.serve_rate, threads, cfg.trial_ms, cfg.snapshot_ms,
-        cfg.trace_ring,
-        cfg.serve_canary > 0 ? "  [LEAK CANARY ARMED]" : "");
+        flags.ops_per_sec, threads, cfg.trial_ms,
+        flags.snapshot.snapshot_ms, flags.ring_capacity,
+        flags.canary_leak_every > 0 ? "  [LEAK CANARY ARMED]" : "");
 
     harness::json points = harness::json::array();
     bool invariant_ok = true;
@@ -79,13 +79,8 @@ int run_smr_serve(const scenario& sc, const harness::bench_config& cfg,
             wl.dist.slide_ms = 50;
             wl.phases = {{"churn", 40, 40, 60, 0},
                          {"read_mostly", 5, 5, 60, 0}};
+            wl.serve = flags;
             wl.serve.enabled = true;
-            wl.serve.ops_per_sec = cfg.serve_rate;
-            wl.serve.snapshot_ms = cfg.snapshot_ms;
-            wl.serve.ring_capacity = cfg.trace_ring;
-            wl.serve.monitor_window = cfg.serve_monitor_window;
-            wl.serve.monitor_min_growth = cfg.serve_monitor_growth;
-            wl.serve.canary_leak_every = cfg.serve_canary;
             // reclaim_none keeps every retired record forever: unbounded
             // limbo growth is its documented contract (DESIGN.md Section
             // 3's limbo bound), not a leak. The sentinel would trivially
@@ -93,22 +88,22 @@ int run_smr_serve(const scenario& sc, const harness::bench_config& cfg,
             // disarmed -- the cell still streams its full timeline.
             const bool monitored = scheme != "none";
             if (!monitored) {
-                wl.serve.monitor_min_growth =
+                wl.serve.snapshot.monitor.min_growth =
                     std::numeric_limits<long long>::max() / 2;
             }
-            resolve_churn(cfg, threads, &wl.serve);
+            resolve_churn(threads, &wl.serve);
 
             for (int trial = 0; trial < cfg.trials; ++trial) {
                 wl.seed = cfg.seed + static_cast<std::uint64_t>(trial);
-                if (!cfg.timeline_path.empty()) {
+                if (!timeline_prefix.empty()) {
                     // One timeline file per trial: the streamer opens with
                     // trunc, so a shared per-cell path would leave only
                     // the last trial's data behind every point's
                     // "timeline" reference. Single-trial runs keep the
                     // plain per-cell name (CI and the ctest fixtures
                     // reference it literally).
-                    wl.serve.timeline_path =
-                        cfg.timeline_path + "." + ds + "." + scheme +
+                    wl.serve.snapshot.path =
+                        timeline_prefix + "." + ds + "." + scheme +
                         (cfg.trials > 1 ? ".trial" + std::to_string(trial)
                                         : "") +
                         ".jsonl";
@@ -161,8 +156,8 @@ int run_smr_serve(const scenario& sc, const harness::bench_config& cfg,
                 harness::json p = harness::point_to_json(meta, r);
                 p.set("key_range", key_range);
                 p.set("mix", std::string("serve"));
-                if (!wl.serve.timeline_path.empty()) {
-                    p.set("timeline", wl.serve.timeline_path);
+                if (!wl.serve.snapshot.path.empty()) {
+                    p.set("timeline", wl.serve.snapshot.path);
                 }
                 if (!monitored) p.set("monitor_disarmed", true);
                 points.push_back(std::move(p));
@@ -178,16 +173,16 @@ int run_smr_serve(const scenario& sc, const harness::bench_config& cfg,
     config.set("threads", std::move(th));
     config.set("seed", static_cast<long long>(cfg.seed));
     config.set("key_range", key_range);
-    config.set("serve_rate", cfg.serve_rate);
-    config.set("snapshot_ms", cfg.snapshot_ms);
-    config.set("serve_churn_ms", cfg.serve_churn_ms);
-    config.set("serve_churn_threads", cfg.serve_churn_threads);
-    config.set("serve_monitor_window", cfg.serve_monitor_window);
-    config.set("serve_monitor_growth", cfg.serve_monitor_growth);
-    config.set("serve_canary", cfg.serve_canary);
-    config.set("trace_ring", cfg.trace_ring);
-    if (!cfg.timeline_path.empty()) {
-        config.set("timeline_prefix", cfg.timeline_path);
+    config.set("serve_rate", flags.ops_per_sec);
+    config.set("snapshot_ms", flags.snapshot.snapshot_ms);
+    config.set("serve_churn_ms", flags.churn_period_ms);
+    config.set("serve_churn_threads", flags.churn_threads);
+    config.set("serve_monitor_window", flags.snapshot.monitor.window);
+    config.set("serve_monitor_growth", flags.snapshot.monitor.min_growth);
+    config.set("serve_canary", flags.canary_leak_every);
+    config.set("trace_ring", flags.ring_capacity);
+    if (!timeline_prefix.empty()) {
+        config.set("timeline_prefix", timeline_prefix);
     }
 
     const bool ok = invariant_ok && monitor_ok;

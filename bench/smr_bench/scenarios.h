@@ -3,7 +3,7 @@
 // A scenario is a named, fully parameterized workload: which structures
 // and schemes it sweeps by default, which memory policy it uses, how keys
 // are drawn, and how the op mix evolves over the trial. The paper's
-// figures and tables are scenarios (their env-knob defaults preserved);
+// figures and tables are scenarios (their per-binary defaults preserved);
 // so are the post-paper ones (Zipf, sliding hotspot, bursty phases).
 // `--ds` / `--scheme` / `--threads` override a scenario's defaults at run
 // time; the scenario only decides what happens when you don't ask.
@@ -28,8 +28,8 @@ struct workload_shape {
     /// ignored. Empty: one table per entry of `mixes`.
     std::vector<harness::phase_spec> phases;
     std::vector<op_mix> mixes = {MIX_50_50};
-    /// Key ranges to sweep; entry 0 is replaced by the configured
-    /// SMR_KEYRANGE_LARGE / --keyrange ("the paper's large range").
+    /// Key ranges to sweep; entry 0 is replaced by --keyrange ("the
+    /// paper's large range").
     std::vector<long long> key_ranges = {10000};
     /// Set-shaped structures: percentage of operations that are range
     /// queries of rq_len consecutive keys (carved out of the contains
@@ -41,7 +41,8 @@ struct workload_shape {
     bool stall_straggler = false;
     int stall_ms = 5;
     /// Default thread sweep runs past the host's core count (Figure 9
-    /// left). Only applies when neither --threads nor SMR_THREADS is set.
+    /// left), capped at MAX_THREADS. Only applies when --threads is not
+    /// given.
     bool oversubscribe = false;
     /// Thread-placement sweep: one full table set per policy (--pin
     /// overrides). Default: the scheduler places threads, as before.

@@ -1,68 +1,43 @@
-// bench_config.h -- one source of truth for benchmark run parameters.
+// bench_config.h -- one source of truth for smr_bench's run parameters.
 //
-// Before the smr_bench driver existed, every bench binary re-parsed the
-// SMR_* environment knobs through bench_common.h, and the parsing had
-// started to drift (different fallbacks, different validation). This
-// header owns the full resolution chain:
-//
-//   built-in defaults  <-  SMR_* environment  <-  command-line flags
-//
-// bench_config::from_env() gives env-over-defaults (what the remaining
-// standalone binaries use); apply_args() layers CLI flags on top (what
-// smr_bench uses), so `SMR_TRIAL_MS=500 smr_bench --trial-ms=50` runs
-// 50ms trials and both paths share one validator.
-//
-// Environment knobs (unchanged from the per-binary era):
-//   SMR_TRIAL_MS        per-trial duration, ms  (default 100)
-//   SMR_TRIALS          trials per point        (default 1)
-//   SMR_THREADS         comma list, e.g. "1,2,4,8"
-//   SMR_KEYRANGE_LARGE  the paper's large BST key range (default 1000000)
-//   SMR_LAT_SAMPLE      latency sampling period (default 32; 0 disables)
-//
-// Sustained-service (smr_serve) knobs, all env + CLI:
-//   SMR_SERVE_RATE            offered load, total ops/sec (default 100000;
-//                             0 = unpaced)
-//   SMR_SNAPSHOT_MS           snapshot streamer period (default 100)
-//   SMR_SERVE_CHURN_MS        thread-churn wave period (default 0 = off)
-//   SMR_SERVE_CHURN_THREADS   workers that churn per wave (default 0)
-//   SMR_SERVE_MONITOR_WINDOW  leak-monitor window, samples (default 8)
-//   SMR_SERVE_MONITOR_GROWTH  leak-monitor min growth, records (default
-//                             4096)
-//   SMR_SERVE_CANARY          leak 1 retired record every N ops on worker
-//                             0 (default 0 = off; the WILL_FAIL sentinel)
-//   SMR_TIMELINE              JSONL timeline path prefix ("" = no file)
-//   SMR_TRACE_RING            per-thread event-ring capacity (default 4096)
+// Command-line flags are the only way to set them. A default-constructed
+// bench_config holds the built-in defaults, and apply_args() layers the
+// flags on top, range-checking each value as it parses it: an unusable
+// value is a usage error (exit 2), never a silent repair. The serve-mode
+// knobs land directly in a harness::serve_config (workload.h), so each of
+// their defaults is written once, where the trial loop reads it.
 #pragma once
 
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "../util/debug_stats.h"
+#include "workload.h"
+
 namespace smr::harness {
 
-/// Environment-variable knob: integer with fallback. Strict full-token
-/// parse -- the atoi() of the per-binary era accepted "100abc" as 100 and
-/// turned any typo into a silent 0, which normalize() then quietly
-/// replaced with the default; a malformed value now keeps the fallback
-/// instead of smuggling a zero through validation.
-inline long long env_ll(const char* name, long long fallback) {
+/// Environment-variable knob: integer with fallback, for the few
+/// process-level settings a test harness sets per test (the recording
+/// gates' bounds). Strict full-token parse: a malformed or out-of-range
+/// value keeps the fallback.
+inline int env_int(const char* name, int fallback) {
     const char* v = std::getenv(name);
     if (v == nullptr || *v == '\0') return fallback;
     char* end = nullptr;
     const long long parsed = std::strtoll(v, &end, 10);
-    return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-inline int env_int(const char* name, int fallback) {
-    const long long v = env_ll(name, fallback);
-    if (v < INT_MIN || v > INT_MAX) return fallback;
-    return static_cast<int>(v);
+    if (end == nullptr || *end != '\0' || parsed < INT_MIN ||
+        parsed > INT_MAX) {
+        return fallback;
+    }
+    return static_cast<int>(parsed);
 }
 
 /// Splits a comma-separated list, dropping empty tokens. The one
-/// tokenizer behind every list-valued knob and flag.
+/// tokenizer behind every list-valued flag.
 inline std::vector<std::string> split_list(const std::string& spec) {
     std::vector<std::string> out;
     std::size_t pos = 0;
@@ -91,7 +66,7 @@ inline std::vector<int> parse_int_list(const std::string& spec) {
 }
 
 struct bench_config {
-    // Trial shape (env + CLI).
+    // Trial shape.
     int trial_ms = 100;
     int trials = 1;
     std::vector<int> thread_counts = {1, 2, 4, 8};
@@ -103,17 +78,12 @@ struct bench_config {
     /// still collecting ~30k samples per second per thread.
     int lat_sample = 32;
 
-    // Sustained-service (smr_serve / soak) shape. Threaded into
-    // workload_config::serve by the serve scenario.
-    long long serve_rate = 100000;
-    int snapshot_ms = 100;
-    int serve_churn_ms = 0;
-    int serve_churn_threads = 0;
-    int serve_monitor_window = 8;
-    long long serve_monitor_growth = 4096;
-    long long serve_canary = 0;
-    std::string timeline_path;
-    long long trace_ring = 4096;
+    /// Sustained-service (smr_serve) shape, as the --serve-*,
+    /// --snapshot-ms, --timeline and --trace-ring flags set it. The serve
+    /// scenario copies it into each cell's workload_config, then applies
+    /// its churn default, the monitor disarm for `none`, and per-cell
+    /// timeline paths: here, serve.snapshot.path is the --timeline prefix.
+    serve_config serve;
 
     // Driver selection (CLI only; empty = scenario defaults).
     std::string scenario;
@@ -131,45 +101,9 @@ struct bench_config {
     bool list = false;
     bool help = false;
 
-    /// Whether --threads/SMR_THREADS was given explicitly (oversubscription
-    /// scenarios pick their own sweep only when the user didn't).
+    /// Whether --threads was given (oversubscription scenarios pick their
+    /// own sweep only when the user didn't).
     bool threads_explicit = false;
-
-    /// Built-in defaults overlaid with the SMR_* environment.
-    static bench_config from_env() {
-        bench_config c;
-        c.trial_ms = env_int("SMR_TRIAL_MS", c.trial_ms);
-        c.trials = env_int("SMR_TRIALS", c.trials);
-        // Parsed as long long end-to-end: the old int round-trip truncated
-        // any SMR_KEYRANGE_LARGE above 2^31 (the paper's large range is
-        // 10^6, but soak configs legitimately go bigger).
-        c.keyrange_large = env_ll("SMR_KEYRANGE_LARGE", c.keyrange_large);
-        c.lat_sample = env_int("SMR_LAT_SAMPLE", c.lat_sample);
-        c.serve_rate = env_ll("SMR_SERVE_RATE", c.serve_rate);
-        c.snapshot_ms = env_int("SMR_SNAPSHOT_MS", c.snapshot_ms);
-        c.serve_churn_ms = env_int("SMR_SERVE_CHURN_MS", c.serve_churn_ms);
-        c.serve_churn_threads =
-            env_int("SMR_SERVE_CHURN_THREADS", c.serve_churn_threads);
-        c.serve_monitor_window =
-            env_int("SMR_SERVE_MONITOR_WINDOW", c.serve_monitor_window);
-        c.serve_monitor_growth =
-            env_ll("SMR_SERVE_MONITOR_GROWTH", c.serve_monitor_growth);
-        c.serve_canary = env_ll("SMR_SERVE_CANARY", c.serve_canary);
-        if (const char* tl = std::getenv("SMR_TIMELINE");
-            tl != nullptr && *tl != '\0') {
-            c.timeline_path = tl;
-        }
-        c.trace_ring = env_ll("SMR_TRACE_RING", c.trace_ring);
-        if (const char* ts = std::getenv("SMR_THREADS"); ts != nullptr) {
-            auto parsed = parse_int_list(ts);
-            if (!parsed.empty()) {
-                c.thread_counts = std::move(parsed);
-                c.threads_explicit = true;
-            }
-        }
-        c.normalize();
-        return c;
-    }
 
     /// Layers command-line flags over this config. Flags use
     /// --name=value; --list/--help are bare. Returns false and sets *err
@@ -242,6 +176,12 @@ struct bench_config {
                     return fail("--threads: no usable positive entries in '" +
                                 value + "'");
                 }
+                if (*std::max_element(parsed.begin(), parsed.end()) >
+                    MAX_THREADS) {
+                    return fail("--threads: need counts in [1, " +
+                                std::to_string(MAX_THREADS) +
+                                "] (a record_manager's MAX_THREADS)");
+                }
                 thread_counts = std::move(parsed);
                 threads_explicit = true;
             } else if (name == "--trial-ms") {
@@ -271,37 +211,38 @@ struct bench_config {
                 }
                 seed = static_cast<std::uint64_t>(s);
             } else if (name == "--serve-rate") {
-                if (!ll_value(0, 1LL << 40, &serve_rate)) {
+                if (!ll_value(0, 1LL << 40, &serve.ops_per_sec)) {
                     return fail("--serve-rate: need ops/sec in [0, 2^40] "
                                 "(0 = unpaced)");
                 }
             } else if (name == "--snapshot-ms") {
-                if (!int_value(1, 1 << 20, &snapshot_ms)) {
+                if (!int_value(1, 1 << 20, &serve.snapshot.snapshot_ms)) {
                     return fail("--snapshot-ms: need an integer in "
                                 "[1, 2^20]");
                 }
             } else if (name == "--serve-churn-ms") {
-                if (!int_value(0, 1 << 24, &serve_churn_ms)) {
+                if (!int_value(0, 1 << 24, &serve.churn_period_ms)) {
                     return fail("--serve-churn-ms: need an integer in "
                                 "[0, 2^24] (0 disables churn)");
                 }
             } else if (name == "--serve-churn-threads") {
-                if (!int_value(0, 1 << 10, &serve_churn_threads)) {
+                if (!int_value(0, 1 << 10, &serve.churn_threads)) {
                     return fail("--serve-churn-threads: need an integer in "
                                 "[0, 1024]");
                 }
             } else if (name == "--serve-monitor-window") {
-                if (!int_value(1, 1 << 16, &serve_monitor_window)) {
+                if (!int_value(1, 1 << 16, &serve.snapshot.monitor.window)) {
                     return fail("--serve-monitor-window: need an integer "
                                 "in [1, 65536]");
                 }
             } else if (name == "--serve-monitor-growth") {
-                if (!ll_value(0, 1LL << 40, &serve_monitor_growth)) {
+                if (!ll_value(0, 1LL << 40,
+                              &serve.snapshot.monitor.min_growth)) {
                     return fail("--serve-monitor-growth: need records in "
                                 "[0, 2^40]");
                 }
             } else if (name == "--serve-canary") {
-                if (!ll_value(0, 1LL << 40, &serve_canary)) {
+                if (!ll_value(0, 1LL << 40, &serve.canary_leak_every)) {
                     return fail("--serve-canary: need an op period in "
                                 "[0, 2^40] (0 disables the leak canary)");
                 }
@@ -309,9 +250,9 @@ struct bench_config {
                 if (value.empty()) {
                     return fail("--timeline needs a path prefix");
                 }
-                timeline_path = value;
+                serve.snapshot.path = value;
             } else if (name == "--trace-ring") {
-                if (!ll_value(8, 1LL << 24, &trace_ring)) {
+                if (!ll_value(8, 1LL << 24, &serve.ring_capacity)) {
                     return fail("--trace-ring: need a capacity in "
                                 "[8, 2^24]");
                 }
@@ -324,25 +265,7 @@ struct bench_config {
                 return fail("unknown flag '" + arg + "' (try --help)");
             }
         }
-        normalize();
         return true;
-    }
-
-    /// Shared validation: both the env and CLI paths land here.
-    void normalize() {
-        if (trial_ms <= 0) trial_ms = 100;
-        if (trials <= 0) trials = 1;
-        if (keyrange_large < 1) keyrange_large = 1;
-        if (lat_sample < 0) lat_sample = 32;
-        if (serve_rate < 0) serve_rate = 100000;
-        if (snapshot_ms <= 0) snapshot_ms = 100;
-        if (serve_churn_ms < 0) serve_churn_ms = 0;
-        if (serve_churn_threads < 0) serve_churn_threads = 0;
-        if (serve_monitor_window <= 0) serve_monitor_window = 8;
-        if (serve_monitor_growth < 0) serve_monitor_growth = 4096;
-        if (serve_canary < 0) serve_canary = 0;
-        if (trace_ring < 8) trace_ring = 4096;
-        if (thread_counts.empty()) thread_counts = {1, 2, 4, 8};
     }
 };
 

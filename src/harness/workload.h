@@ -33,7 +33,7 @@
 // offered load", not "how fast". Each part has its own switch:
 //
 //   watch    serve mode itself: event rings plus a snapshot_streamer whose
-//            JSONL timeline (none if timeline_path is empty) and invariant
+//            JSONL timeline (none if snapshot.path is empty) and invariant
 //            monitor turn sustained limbo/footprint growth into a verdict;
 //   pacing   ops_per_sec > 0: a per-worker open-loop token bucket, so a
 //            scheme stall shows up as a rate deficit instead of being
@@ -64,7 +64,6 @@
 #include "../util/padded.h"
 #include "../util/prng.h"
 #include "../util/timing.h"
-#include "bench_config.h"
 #include "json.h"
 #include "key_dist.h"
 #include "latency.h"
@@ -84,26 +83,20 @@ struct serve_config {
     /// thread; 0 = unpaced (degenerates to the closed loop, still with
     /// snapshots + monitor).
     long long ops_per_sec = 100000;
-    /// Sampler period for the snapshot streamer.
-    int snapshot_ms = 100;
     /// Thread-churn waves: every churn_period_ms the last `churn_threads`
     /// workers deregister and re-register (fresh thread_handle), exercising
     /// the register/deregister path mid-service. 0 disables churn.
     int churn_period_ms = 0;
     int churn_threads = 0;
-    /// JSONL timeline destination; empty = monitor-only (no file).
-    std::string timeline_path;
     /// Event-ring capacity per thread (rounded up to a power of two).
     long long ring_capacity = 4096;
-    /// Invariant-monitor tuning (see obs::monitor_config).
-    int monitor_window = 8;
-    long long monitor_min_growth = 4096;
-    int monitor_consecutive = 3;
-    int monitor_warmup = 4;
     /// Leak canary: when > 0, worker 0 deliberately leaks one retired
     /// record every N operations (record_manager::leak_retired_record).
     /// The monitor must trip on it -- proves the sentinel detects leaks.
     long long canary_leak_every = 0;
+    /// The sampler: snapshot period, JSONL timeline path (empty =
+    /// monitor-only, no file) and the invariant monitor's tuning.
+    obs::snapshot_config snapshot;
 };
 
 /// Serve-mode harvest, populated only when serve_config::enabled.
@@ -222,10 +215,6 @@ struct trial_result {
         return final_size == expected_final_size;
     }
 };
-
-// env_int and the rest of the knob-resolution chain live in
-// bench_config.h (see DESIGN.md Substitutions); included here so existing
-// harness users keep reaching harness::env_int through this header.
 
 /// Fills `ds` with uniformly random keys until it holds `target` keys.
 /// Runs on the calling thread through `acc`, an accessor minted from a
@@ -426,20 +415,14 @@ trial_result run_timed_trial(DS& ds, Mgr& mgr, const workload_config& cfg,
     std::optional<obs::snapshot_streamer> streamer;
     json header = json::object();
     if (sv.enabled) {
+        assert(sv.snapshot.snapshot_ms > 0 && sv.ring_capacity > 0 &&
+               "run_trial: serve mode needs a positive snapshot period "
+               "and ring capacity");
         obs::g_event_trace.enable(
-            cfg.num_threads, sv.ring_capacity > 0
-                                 ? static_cast<std::size_t>(sv.ring_capacity)
-                                 : std::size_t{4096});
+            cfg.num_threads, static_cast<std::size_t>(sv.ring_capacity));
         res.serve.ran = true;
         res.serve.target_ops_per_sec = static_cast<double>(sv.ops_per_sec);
-        obs::snapshot_config scfg;
-        scfg.snapshot_ms = sv.snapshot_ms > 0 ? sv.snapshot_ms : 100;
-        scfg.path = sv.timeline_path;
-        scfg.monitor.window = sv.monitor_window;
-        scfg.monitor.min_growth = sv.monitor_min_growth;
-        scfg.monitor.consecutive = sv.monitor_consecutive;
-        scfg.monitor.warmup = sv.monitor_warmup;
-        streamer.emplace(scfg, &mgr.stats());
+        streamer.emplace(sv.snapshot, &mgr.stats());
         streamer->set_augment([&churn_gen, &sv](json* snap) {
             snap->set("churn_waves",
                       static_cast<long long>(

@@ -136,7 +136,7 @@ class event_ring {
   public:
     static constexpr std::size_t MIN_CAPACITY = 8;
 
-    explicit event_ring(std::size_t capacity = 4096) {
+    explicit event_ring(std::size_t capacity) {
         std::size_t cap = MIN_CAPACITY;
         while (cap < capacity) cap <<= 1;  // power of two for mask indexing
         cap_ = cap;

@@ -135,7 +135,7 @@ class record_manager {
 
     explicit record_manager(int num_threads,
                             config_t cfg = default_config())
-        : num_threads_(num_threads),
+        : num_threads_(require_thread_count(num_threads)),
           global_(num_threads, cfg, &stats_),
           bundles_(std::make_unique<bundle<Ts>>(num_threads, global_,
                                                 &stats_)...) {}
@@ -163,9 +163,6 @@ class record_manager {
     /// topology layer's policy (none / compact / scatter) before any
     /// memory is touched, so first-touch and arena homes land on the
     /// pinned socket.
-    [[nodiscard]] handle_t register_thread(topo::pin_policy pin) {
-        return handle_t(*this, pin);
-    }
     [[nodiscard]] handle_t register_thread(int tid, topo::pin_policy pin) {
         return handle_t(*this, tid, pin);
     }

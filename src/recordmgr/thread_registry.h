@@ -52,6 +52,19 @@ inline void require_tid_in_range(const char* who, int tid, int num_threads) {
     std::abort();
 }
 
+/// Returns `num_threads` if it lies in [1, MAX_THREADS] and aborts with a
+/// diagnostic otherwise. A record_manager and its scheme size their
+/// per-thread arrays at MAX_THREADS, so a larger count would configure,
+/// scan and harvest past their ends; every build stops here instead.
+inline int require_thread_count(int num_threads) {
+    if (num_threads >= 1 && num_threads <= MAX_THREADS) return num_threads;
+    std::fprintf(stderr,
+                 "record_manager: num_threads=%d is outside "
+                 "[1, MAX_THREADS=%d]\n",
+                 num_threads, MAX_THREADS);
+    std::abort();
+}
+
 /// Lock-free free-list of thread ids. One per record_manager instance;
 /// slots beyond the manager's num_threads are never handed out.
 class thread_registry {
@@ -121,11 +134,6 @@ class thread_handle {
     /// scheme's per-thread state (hazard rows, limbo bags) is first
     /// touched on the pinned socket. Pinning is a placement hint -- it
     /// never fails registration.
-    thread_handle(Mgr& mgr, topo::pin_policy pin)
-        : mgr_(&mgr), tid_(mgr.registry().acquire(mgr.num_threads())) {
-        topo::apply_pin(pin, tid_);
-        mgr_->init_thread(tid_);
-    }
     thread_handle(Mgr& mgr, int tid, topo::pin_policy pin)
         : mgr_(&mgr), tid_(claim_tid(mgr, tid)) {
         topo::apply_pin(pin, tid_);

@@ -1,9 +1,7 @@
-// Tests for the unified benchmark configuration chain
-// (harness/bench_config.h): built-in defaults, SMR_* environment overlay,
-// CLI flags overriding both, shared int-list parsing/validation, and flag
-// error reporting. This is the satellite fix for the env-parsing drift
-// between bench_common.h and the driver: both now resolve through the
-// code under test here.
+// Tests for smr_bench's run configuration (harness/bench_config.h):
+// built-in defaults, command-line flags over them, int-list parsing, and
+// flag error reporting. Flags are the only source: the SMR_* variables of
+// the per-binary era are ignored.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -32,7 +30,7 @@ bench_config from_args(std::initializer_list<const char*> args,
                        bool* ok = nullptr, std::string* err = nullptr) {
     std::vector<char*> argv = {const_cast<char*>("smr_bench")};
     for (const char* a : args) argv.push_back(const_cast<char*>(a));
-    bench_config c = bench_config::from_env();
+    bench_config c;
     std::string local_err;
     const bool parsed = c.apply_args(static_cast<int>(argv.size()),
                                      argv.data(),
@@ -52,12 +50,8 @@ TEST(BenchConfig, ParseIntListAcceptsAndFilters) {
     EXPECT_TRUE(parse_int_list("zero,none").empty());
 }
 
-TEST(BenchConfig, DefaultsWithoutEnvironment) {
-    ::unsetenv("SMR_TRIAL_MS");
-    ::unsetenv("SMR_TRIALS");
-    ::unsetenv("SMR_THREADS");
-    ::unsetenv("SMR_KEYRANGE_LARGE");
-    const bench_config c = bench_config::from_env();
+TEST(BenchConfig, Defaults) {
+    const bench_config c;
     EXPECT_EQ(c.trial_ms, 100);
     EXPECT_EQ(c.trials, 1);
     EXPECT_EQ(c.thread_counts, (std::vector<int>{1, 2, 4, 8}));
@@ -65,30 +59,35 @@ TEST(BenchConfig, DefaultsWithoutEnvironment) {
     EXPECT_FALSE(c.threads_explicit);
 }
 
-TEST(BenchConfig, EnvironmentOverridesDefaults) {
+TEST(BenchConfig, EnvironmentIsIgnored) {
+    // The run-configuration variables of the per-binary era no longer
+    // reach smr_bench: a parse with no flags reads the built-in defaults.
     env_guard g1("SMR_TRIAL_MS", "250");
-    env_guard g2("SMR_THREADS", "3,6");
-    env_guard g3("SMR_KEYRANGE_LARGE", "5000");
-    const bench_config c = bench_config::from_env();
-    EXPECT_EQ(c.trial_ms, 250);
-    EXPECT_EQ(c.thread_counts, (std::vector<int>{3, 6}));
-    EXPECT_EQ(c.keyrange_large, 5000);
-    EXPECT_TRUE(c.threads_explicit);
-}
-
-TEST(BenchConfig, UnusableEnvironmentFallsBack) {
-    env_guard g1("SMR_THREADS", "0,junk,-2");
-    env_guard g2("SMR_TRIAL_MS", "-50");
-    const bench_config c = bench_config::from_env();
-    // Shared validation (normalize) repairs both paths identically.
-    EXPECT_EQ(c.thread_counts, (std::vector<int>{1, 2, 4, 8}));
+    env_guard g2("SMR_TRIALS", "3");
+    env_guard g3("SMR_THREADS", "3,6");
+    env_guard g4("SMR_KEYRANGE_LARGE", "5000");
+    env_guard g5("SMR_LAT_SAMPLE", "64");
+    env_guard g6("SMR_SERVE_RATE", "250000");
+    env_guard g7("SMR_SNAPSHOT_MS", "50");
+    env_guard g8("SMR_TIMELINE", "/tmp/tl");
+    env_guard g9("SMR_TRACE_RING", "512");
+    bool ok = false;
+    const bench_config c = from_args({}, &ok);
+    ASSERT_TRUE(ok);
+    const bench_config d;
+    EXPECT_EQ(c.trial_ms, d.trial_ms);
+    EXPECT_EQ(c.trials, d.trials);
+    EXPECT_EQ(c.thread_counts, d.thread_counts);
     EXPECT_FALSE(c.threads_explicit);
-    EXPECT_EQ(c.trial_ms, 100);
+    EXPECT_EQ(c.keyrange_large, d.keyrange_large);
+    EXPECT_EQ(c.lat_sample, d.lat_sample);
+    EXPECT_EQ(c.serve.ops_per_sec, d.serve.ops_per_sec);
+    EXPECT_EQ(c.serve.snapshot.snapshot_ms, d.serve.snapshot.snapshot_ms);
+    EXPECT_TRUE(c.serve.snapshot.path.empty());
+    EXPECT_EQ(c.serve.ring_capacity, d.serve.ring_capacity);
 }
 
-TEST(BenchConfig, FlagsOverrideEnvironment) {
-    env_guard g1("SMR_TRIAL_MS", "250");
-    env_guard g2("SMR_THREADS", "3,6");
+TEST(BenchConfig, FlagsOverrideDefaults) {
     bool ok = false;
     const bench_config c = from_args(
         {"--trial-ms=40", "--threads=2,4", "--scenario=zipf_churn",
@@ -136,25 +135,13 @@ TEST(BenchConfig, AllocAndPinFilters) {
 }
 
 TEST(BenchConfig, LatSampleKnob) {
-    // Default, env overlay, and flag-over-env, like every other knob.
-    ::unsetenv("SMR_LAT_SAMPLE");
-    EXPECT_EQ(bench_config::from_env().lat_sample, 32);
-    {
-        env_guard g("SMR_LAT_SAMPLE", "64");
-        EXPECT_EQ(bench_config::from_env().lat_sample, 64);
-        bool ok = false;
-        EXPECT_EQ(from_args({"--lat-sample=8"}, &ok).lat_sample, 8);
-        ASSERT_TRUE(ok);
-    }
-    // 0 is a legal value: it disables recording rather than falling back.
+    EXPECT_EQ(bench_config{}.lat_sample, 32);
     bool ok = false;
+    EXPECT_EQ(from_args({"--lat-sample=8"}, &ok).lat_sample, 8);
+    ASSERT_TRUE(ok);
+    // 0 is a legal value: it disables recording rather than falling back.
     EXPECT_EQ(from_args({"--lat-sample=0"}, &ok).lat_sample, 0);
     ASSERT_TRUE(ok);
-    // Negative values repair to the default (normalize), like trial_ms.
-    {
-        env_guard g("SMR_LAT_SAMPLE", "-4");
-        EXPECT_EQ(bench_config::from_env().lat_sample, 32);
-    }
     std::string err;
     from_args({"--lat-sample=abc"}, &ok, &err);
     EXPECT_FALSE(ok);
@@ -164,46 +151,20 @@ TEST(BenchConfig, LatSampleKnob) {
 }
 
 TEST(BenchConfig, ServeKnobDefaults) {
-    for (const char* name :
-         {"SMR_SERVE_RATE", "SMR_SNAPSHOT_MS", "SMR_SERVE_CHURN_MS",
-          "SMR_SERVE_CHURN_THREADS", "SMR_SERVE_MONITOR_WINDOW",
-          "SMR_SERVE_MONITOR_GROWTH", "SMR_SERVE_CANARY", "SMR_TIMELINE",
-          "SMR_TRACE_RING"}) {
-        ::unsetenv(name);
-    }
-    const bench_config c = bench_config::from_env();
-    EXPECT_EQ(c.serve_rate, 100000);
-    EXPECT_EQ(c.snapshot_ms, 100);
-    EXPECT_EQ(c.serve_churn_ms, 0);
-    EXPECT_EQ(c.serve_churn_threads, 0);
-    EXPECT_EQ(c.serve_monitor_window, 8);
-    EXPECT_EQ(c.serve_monitor_growth, 4096);
-    EXPECT_EQ(c.serve_canary, 0);
-    EXPECT_TRUE(c.timeline_path.empty());
-    EXPECT_EQ(c.trace_ring, 4096);
+    const bench_config c;
+    EXPECT_FALSE(c.serve.enabled);
+    EXPECT_EQ(c.serve.ops_per_sec, 100000);
+    EXPECT_EQ(c.serve.snapshot.snapshot_ms, 100);
+    EXPECT_EQ(c.serve.churn_period_ms, 0);
+    EXPECT_EQ(c.serve.churn_threads, 0);
+    EXPECT_EQ(c.serve.snapshot.monitor.window, 8);
+    EXPECT_EQ(c.serve.snapshot.monitor.min_growth, 4096);
+    EXPECT_EQ(c.serve.canary_leak_every, 0);
+    EXPECT_TRUE(c.serve.snapshot.path.empty());
+    EXPECT_EQ(c.serve.ring_capacity, 4096);
 }
 
-TEST(BenchConfig, ServeKnobsEnvThenFlags) {
-    env_guard g1("SMR_SERVE_RATE", "250000");
-    env_guard g2("SMR_SNAPSHOT_MS", "50");
-    env_guard g3("SMR_SERVE_CHURN_MS", "500");
-    env_guard g4("SMR_SERVE_CHURN_THREADS", "2");
-    env_guard g5("SMR_SERVE_MONITOR_WINDOW", "16");
-    env_guard g6("SMR_SERVE_MONITOR_GROWTH", "1024");
-    env_guard g7("SMR_SERVE_CANARY", "5000");
-    env_guard g8("SMR_TIMELINE", "/tmp/tl");
-    env_guard g9("SMR_TRACE_RING", "512");
-    const bench_config c = bench_config::from_env();
-    EXPECT_EQ(c.serve_rate, 250000);
-    EXPECT_EQ(c.snapshot_ms, 50);
-    EXPECT_EQ(c.serve_churn_ms, 500);
-    EXPECT_EQ(c.serve_churn_threads, 2);
-    EXPECT_EQ(c.serve_monitor_window, 16);
-    EXPECT_EQ(c.serve_monitor_growth, 1024);
-    EXPECT_EQ(c.serve_canary, 5000);
-    EXPECT_EQ(c.timeline_path, "/tmp/tl");
-    EXPECT_EQ(c.trace_ring, 512);
-
+TEST(BenchConfig, ServeKnobFlags) {
     bool ok = false;
     const bench_config f = from_args(
         {"--serve-rate=75000", "--snapshot-ms=20", "--serve-churn-ms=250",
@@ -212,18 +173,18 @@ TEST(BenchConfig, ServeKnobsEnvThenFlags) {
          "--timeline=/tmp/other", "--trace-ring=8192"},
         &ok);
     ASSERT_TRUE(ok);
-    EXPECT_EQ(f.serve_rate, 75000);
-    EXPECT_EQ(f.snapshot_ms, 20);
-    EXPECT_EQ(f.serve_churn_ms, 250);
-    EXPECT_EQ(f.serve_churn_threads, 1);
-    EXPECT_EQ(f.serve_monitor_window, 4);
-    EXPECT_EQ(f.serve_monitor_growth, 64);
-    EXPECT_EQ(f.serve_canary, 100);
-    EXPECT_EQ(f.timeline_path, "/tmp/other");
-    EXPECT_EQ(f.trace_ring, 8192);
+    EXPECT_EQ(f.serve.ops_per_sec, 75000);
+    EXPECT_EQ(f.serve.snapshot.snapshot_ms, 20);
+    EXPECT_EQ(f.serve.churn_period_ms, 250);
+    EXPECT_EQ(f.serve.churn_threads, 1);
+    EXPECT_EQ(f.serve.snapshot.monitor.window, 4);
+    EXPECT_EQ(f.serve.snapshot.monitor.min_growth, 64);
+    EXPECT_EQ(f.serve.canary_leak_every, 100);
+    EXPECT_EQ(f.serve.snapshot.path, "/tmp/other");
+    EXPECT_EQ(f.serve.ring_capacity, 8192);
 }
 
-TEST(BenchConfig, ServeKnobRejectionAndRepair) {
+TEST(BenchConfig, ServeKnobRejection) {
     // Flags reject garbage and out-of-range values loudly.
     bool ok = true;
     std::string err;
@@ -248,18 +209,6 @@ TEST(BenchConfig, ServeKnobRejectionAndRepair) {
     EXPECT_NE(err.find("--timeline"), std::string::npos);
     from_args({"--trace-ring=4"}, &ok, &err);  // below MIN_CAPACITY
     EXPECT_FALSE(ok);
-
-    // Unusable env values repair to defaults via normalize, like trial_ms
-    // (strict full-token parse: trailing junk is ignored as unusable).
-    {
-        env_guard g1("SMR_SERVE_RATE", "100k");
-        env_guard g2("SMR_SNAPSHOT_MS", "-5");
-        env_guard g3("SMR_TRACE_RING", "2");
-        const bench_config c = bench_config::from_env();
-        EXPECT_EQ(c.serve_rate, 100000);
-        EXPECT_EQ(c.snapshot_ms, 100);
-        EXPECT_EQ(c.trace_ring, 4096);
-    }
 }
 
 TEST(BenchConfig, BareFlags) {
@@ -288,6 +237,23 @@ TEST(BenchConfig, BadFlagsAreReportedNotIgnored) {
     from_args({"--threads=0,junk"}, &ok, &err);
     EXPECT_FALSE(ok);
     EXPECT_NE(err.find("--threads"), std::string::npos);
+
+    // A record_manager holds at most MAX_THREADS threads; a larger count
+    // is refused, not run past the end of its per-thread arrays.
+    EXPECT_EQ(from_args({"--threads=128"}, &ok).thread_counts,
+              (std::vector<int>{MAX_THREADS}));
+    EXPECT_TRUE(ok);
+    for (const char* arg : {"--threads=129", "--threads=2,129"}) {
+        from_args({arg}, &ok, &err);
+        EXPECT_FALSE(ok) << arg;
+        EXPECT_NE(err.find("--threads"), std::string::npos);
+    }
+
+    from_args({"--trial-ms=-50"}, &ok, &err);
+    EXPECT_FALSE(ok);
+    from_args({"--keyrange=2000000000"}, &ok, &err);
+    EXPECT_FALSE(ok);
+    EXPECT_NE(err.find("--keyrange"), std::string::npos);
 
     from_args({"--scenario"}, &ok, &err);
     EXPECT_FALSE(ok);

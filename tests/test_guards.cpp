@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <type_traits>
@@ -485,6 +486,23 @@ TEST(RegistrationDeath, TidOutsideTheManagerAborts) {
             mgr.init_thread(2);
         },
         "init_thread: tid 2 is outside \\[0, num_threads=2\\)");
+}
+
+// The manager, its scheme and its pools size their per-thread arrays at
+// MAX_THREADS, so a larger thread count would write past their ends while
+// the manager is being built. The constructor aborts first, in every
+// build; no thread is started.
+TEST(RegistrationDeath, ThreadCountBeyondMaxThreadsAborts) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    using mgr_t = record_manager<reclaim::reclaim_debra, alloc_malloc,
+                                 pool_shared, rec>;
+    EXPECT_DEATH({ mgr_t mgr(MAX_THREADS + 1); },
+                 "record_manager: num_threads=" +
+                     std::to_string(MAX_THREADS + 1) +
+                     " is outside \\[1, MAX_THREADS=" +
+                     std::to_string(MAX_THREADS) + "\\]");
+    EXPECT_DEATH({ mgr_t mgr(0); },
+                 "record_manager: num_threads=0 is outside");
 }
 #endif
 

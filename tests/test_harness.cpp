@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "ds_test_util.h"
+#include "harness/bench_config.h"
 #include "harness/workload.h"
 
 namespace smr {

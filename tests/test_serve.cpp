@@ -266,7 +266,7 @@ harness::workload_config base_serve_config(int trial_ms) {
     cfg.lat_sample = 0;
     cfg.serve.enabled = true;
     cfg.serve.ops_per_sec = 40000;
-    cfg.serve.snapshot_ms = 20;
+    cfg.serve.snapshot.snapshot_ms = 20;
     cfg.serve.ring_capacity = 256;
     return cfg;
 }
@@ -282,7 +282,7 @@ TEST(ServeTrial, PacedSoakWithChurnProducesValidTimeline) {
     ds::ellen_bst<key_t, val_t, serve_mgr_t> bst(mgr);
 
     harness::workload_config cfg = base_serve_config(trial_ms);
-    cfg.serve.timeline_path = path;
+    cfg.serve.snapshot.path = path;
     cfg.serve.churn_period_ms = 60;
     cfg.serve.churn_threads = 1;
 
@@ -348,10 +348,10 @@ TEST(ServeTrial, CanaryLeakTripsTheMonitor) {
     harness::workload_config cfg = base_serve_config(trial_ms);
     // No timeline file: the verdict machinery alone is under test.
     cfg.serve.canary_leak_every = 5;
-    cfg.serve.monitor_window = 2;
-    cfg.serve.monitor_min_growth = 4;
-    cfg.serve.monitor_consecutive = 2;
-    cfg.serve.monitor_warmup = 1;
+    cfg.serve.snapshot.monitor.window = 2;
+    cfg.serve.snapshot.monitor.min_growth = 4;
+    cfg.serve.snapshot.monitor.consecutive = 2;
+    cfg.serve.snapshot.monitor.warmup = 1;
 
     const auto res = harness::run_serve_trial_set(
         bst, mgr, cfg, harness::SMR_BENCH_SCHEMA_VERSION);
